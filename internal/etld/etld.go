@@ -22,6 +22,7 @@ import (
 	"io"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ErrNoEligibleDomain is returned when an input has no registrable e2LD,
@@ -31,31 +32,42 @@ var ErrNoEligibleDomain = errors.New("etld: name has no eligible e2LD")
 // Table is a compiled public-suffix rule table. The zero value matches
 // nothing; construct one with NewTable or use the package-level Default.
 type Table struct {
-	normal     map[string]bool // "com", "co.uk"
-	wildcard   map[string]bool // "ck" for rule "*.ck"
-	exceptions map[string]bool // "www.ck" for rule "!www.ck"
+	// rules maps a suffix to the kinds of rule that name it: "co.uk" to
+	// normal, "ck" to wildcard for "*.ck", "www.ck" to exception for
+	// "!www.ck".
+	rules map[string]ruleKinds
+	// depth is the most labels any rule spells out; no longer suffix of a
+	// name can be a key of rules.
+	depth int
 }
+
+// ruleKinds is a set of rule kinds.
+type ruleKinds uint8
+
+const (
+	normal ruleKinds = 1 << iota
+	wildcard
+	exception
+)
 
 // NewTable compiles a slice of public-suffix rules in PSL syntax:
 // plain suffixes ("co.uk"), wildcard rules ("*.ck"), and exception rules
 // ("!www.ck"). Rules are matched case-insensitively.
 func NewTable(rules []string) *Table {
-	t := &Table{
-		normal:     make(map[string]bool),
-		wildcard:   make(map[string]bool),
-		exceptions: make(map[string]bool),
-	}
+	t := &Table{rules: make(map[string]ruleKinds)}
 	for _, r := range rules {
 		r = strings.ToLower(strings.TrimSpace(r))
+		kind := normal
 		switch {
 		case r == "" || strings.HasPrefix(r, "//"):
+			continue
 		case strings.HasPrefix(r, "!"):
-			t.exceptions[r[1:]] = true
+			r, kind = r[1:], exception
 		case strings.HasPrefix(r, "*."):
-			t.wildcard[r[2:]] = true
-		default:
-			t.normal[r] = true
+			r, kind = r[2:], wildcard
 		}
+		t.rules[r] |= kind
+		t.depth = max(t.depth, strings.Count(r, ".")+1)
 	}
 	return t
 }
@@ -105,57 +117,26 @@ var Default = NewTable(defaultRules)
 
 // PublicSuffix returns the public suffix of name under the table, e.g.
 // "co.uk" for "www.bbc.co.uk". Per the PSL algorithm, if no rule matches,
-// the suffix is the last label (the "prevailing rule is '*'").
+// the suffix is the last label (the "prevailing rule is '*'"). The result
+// is a substring of the normalized name.
 func (t *Table) PublicSuffix(name string) string {
-	labels := split(name)
-	if len(labels) == 0 {
-		return ""
-	}
-	// Walk suffixes from longest to shortest, tracking the longest match.
-	// Exception rules beat all others; their suffix is the rule minus its
-	// leftmost label.
-	best := labels[len(labels)-1] // implicit "*" rule
-	bestLen := 1
-	for i := 0; i < len(labels); i++ {
-		cand := strings.Join(labels[i:], ".")
-		n := len(labels) - i
-		if t.exceptions[cand] {
-			exc := strings.Join(labels[i+1:], ".")
-			return exc
-		}
-		if t.normal[cand] && n > bestLen {
-			best, bestLen = cand, n
-		}
-		// Wildcard rule "*.X" matches "<anything>.X".
-		if i+1 < len(labels) {
-			parent := strings.Join(labels[i+1:], ".")
-			if t.wildcard[parent] && n > bestLen {
-				best, bestLen = cand, n
-			}
-		}
-	}
-	return best
+	s, ps, _ := t.cut(name)
+	return s[ps:]
 }
 
 // E2LD returns the effective second-level domain of name: the public
 // suffix plus one additional label. It returns ErrNoEligibleDomain when
-// the name is itself a public suffix (e.g. "co.uk") or empty.
+// the name is itself a public suffix (e.g. "co.uk") or empty. The result
+// is a substring of the normalized name, so a name that is already
+// lower-case costs no allocation.
+//
+//alloccheck:hot
 func (t *Table) E2LD(name string) (string, error) {
-	labels := split(name)
-	if len(labels) == 0 {
+	s, _, e2 := t.cut(name)
+	if e2 < 0 {
 		return "", ErrNoEligibleDomain
 	}
-	full := strings.Join(labels, ".")
-	ps := t.PublicSuffix(full)
-	if ps == full {
-		return "", ErrNoEligibleDomain
-	}
-	psLabels := len(split(ps))
-	start := len(labels) - psLabels - 1
-	if start < 0 {
-		return "", ErrNoEligibleDomain
-	}
-	return strings.Join(labels[start:], "."), nil
+	return s[e2:], nil
 }
 
 // E2LD extracts the e2LD of name using the Default table.
@@ -164,23 +145,92 @@ func E2LD(name string) (string, error) { return Default.E2LD(name) }
 // PublicSuffix returns the public suffix of name using the Default table.
 func PublicSuffix(name string) string { return Default.PublicSuffix(name) }
 
-// split normalizes a domain name into lower-case labels, trimming a root
-// dot and rejecting empty labels. Labels containing whitespace are
-// rejected outright: they never occur in real DNS names, and a label
-// with leading or trailing spaces would make the e2LD unstable under
-// re-parsing (the outer TrimSpace would eat it on the next pass).
-func split(name string) []string {
-	name = strings.ToLower(strings.TrimSuffix(strings.TrimSpace(name), "."))
-	if name == "" {
-		return nil
+// cut normalizes name and walks its labels once, longest suffix first,
+// probing the rule map with substrings. It returns the normalized name
+// and the offsets at which its public suffix and its e2LD start; e2 is
+// negative when the name has no e2LD, and s is empty when the name is
+// invalid.
+//
+// The longest matching normal or wildcard rule sets the suffix, the last
+// label when none matches. An exception rule beats them all, wherever
+// it matches: its suffix is the rule minus its leftmost label, so the
+// rule itself is the e2LD.
+//
+//alloccheck:hot
+func (t *Table) cut(name string) (s string, ps, e2 int) {
+	s, labels := normalize(name)
+	if labels == 0 {
+		return "", 0, -1
 	}
-	labels := strings.Split(name, ".")
-	for _, l := range labels {
-		if l == "" || strings.IndexFunc(l, unicode.IsSpace) >= 0 {
-			return nil
+	ps, e2 = -1, -1
+	// before and prev are where the two labels left of start begin.
+	for before, prev, start := -1, -1, 0; ; labels-- {
+		cand := s[start:]
+		next := len(s) // where the suffix one label shorter starts
+		dot := strings.IndexByte(cand, '.')
+		if dot >= 0 {
+			next = start + dot + 1
 		}
+		if labels <= t.depth {
+			kinds := t.rules[cand]
+			if kinds&exception != 0 {
+				return s, next, start
+			}
+			// Wildcard rule "*.X" matches "<anything>.X".
+			if ps < 0 && prev >= 0 && kinds&wildcard != 0 {
+				ps, e2 = prev, before
+			}
+			if ps < 0 && kinds&normal != 0 {
+				ps, e2 = start, prev
+			}
+		}
+		if dot < 0 {
+			if ps < 0 {
+				ps, e2 = start, prev
+			}
+			return s, ps, e2
+		}
+		before, prev, start = prev, start, next
 	}
-	return labels
+}
+
+// normalize lower-cases name and trims surrounding space and a root
+// dot, and counts the labels. It returns no labels for a name with an
+// empty label or with whitespace inside a label: such labels never occur
+// in real DNS names, and a label with leading or trailing spaces would
+// make the e2LD unstable under re-parsing (the outer TrimSpace would eat
+// it on the next pass).
+//
+//alloccheck:hot
+func normalize(name string) (s string, labels int) {
+	s = strings.ToLower(strings.TrimSuffix(strings.TrimSpace(name), "."))
+	dot := true // the previous byte was a dot, or there is none
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.':
+			if dot {
+				return "", 0
+			}
+			dot = true
+			continue
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if unicode.IsSpace(r) {
+				return "", 0
+			}
+			i += size - 1
+		case c == ' ' || '\t' <= c && c <= '\r':
+			return "", 0
+		}
+		if dot {
+			labels++
+		}
+		dot = false
+	}
+	if dot {
+		return "", 0 // empty, or ends in an empty label
+	}
+	return s, labels
 }
 
 // LoadTable parses public-suffix rules from r in the standard PSL file

@@ -5,7 +5,134 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
+
+// referencePublicSuffix, referenceE2LD and referenceSplit are the
+// split/join PSL walk that Table.PublicSuffix and Table.E2LD replaced,
+// kept as the oracle the substring walk is compared against.
+func referencePublicSuffix(t *Table, name string) string {
+	labels := referenceSplit(name)
+	if len(labels) == 0 {
+		return ""
+	}
+	// Walk suffixes from longest to shortest, tracking the longest match.
+	// Exception rules beat all others; their suffix is the rule minus its
+	// leftmost label.
+	best := labels[len(labels)-1] // implicit "*" rule
+	bestLen := 1
+	for i := 0; i < len(labels); i++ {
+		cand := strings.Join(labels[i:], ".")
+		n := len(labels) - i
+		if t.rules[cand]&exception != 0 {
+			return strings.Join(labels[i+1:], ".")
+		}
+		if t.rules[cand]&normal != 0 && n > bestLen {
+			best, bestLen = cand, n
+		}
+		// Wildcard rule "*.X" matches "<anything>.X".
+		if i+1 < len(labels) {
+			parent := strings.Join(labels[i+1:], ".")
+			if t.rules[parent]&wildcard != 0 && n > bestLen {
+				best, bestLen = cand, n
+			}
+		}
+	}
+	return best
+}
+
+func referenceE2LD(t *Table, name string) (string, error) {
+	labels := referenceSplit(name)
+	if len(labels) == 0 {
+		return "", ErrNoEligibleDomain
+	}
+	full := strings.Join(labels, ".")
+	ps := referencePublicSuffix(t, full)
+	if ps == full {
+		return "", ErrNoEligibleDomain
+	}
+	psLabels := len(referenceSplit(ps))
+	start := len(labels) - psLabels - 1
+	if start < 0 {
+		return "", ErrNoEligibleDomain
+	}
+	return strings.Join(labels[start:], "."), nil
+}
+
+// referenceSplit normalizes a domain name into lower-case labels,
+// trimming a root dot and rejecting empty labels and labels containing
+// whitespace.
+func referenceSplit(name string) []string {
+	name = strings.ToLower(strings.TrimSuffix(strings.TrimSpace(name), "."))
+	if name == "" {
+		return nil
+	}
+	labels := strings.Split(name, ".")
+	for _, l := range labels {
+		if l == "" || strings.IndexFunc(l, unicode.IsSpace) >= 0 {
+			return nil
+		}
+	}
+	return labels
+}
+
+// quirkyTable has the rule shapes the embedded snapshot lacks: an
+// exception under a longer normal rule, a single-label exception, a
+// three-label suffix, and rules NewTable accepts but no valid name can
+// match.
+var quirkyTable = NewTable([]string{
+	"com", "a.b.com", "x.www.ck", "*.ck", "!www.ck", "!uk", "*.b.c.d",
+	"em..pty", "sp ace.com",
+})
+
+// agree fails the test unless the substring walk and the reference
+// return the same public suffix, e2LD and error for name under tbl.
+func agree(t *testing.T, tbl *Table, name string) {
+	t.Helper()
+	if got, want := tbl.PublicSuffix(name), referencePublicSuffix(tbl, name); got != want {
+		t.Errorf("PublicSuffix(%q) = %q, reference %q", name, got, want)
+	}
+	got, err := tbl.E2LD(name)
+	want, wantErr := referenceE2LD(tbl, name)
+	if got != want || err != wantErr {
+		t.Errorf("E2LD(%q) = %q, %v; reference %q, %v", name, got, err, want, wantErr)
+	}
+}
+
+func TestMatchesReference(t *testing.T) {
+	names := []string{
+		"maps.google.com", "WWW.Example.COM.", "www.example.com..", ".www.example.com",
+		"www.ck", "a.b.ck", "b.ck", "ck", "x.www.ck", "y.x.www.ck", "sub.www.ck",
+		"co.uk", "www.bbc.co.uk", "uk", "foo.uk", "a.b.com", "z.a.b.com", "b.com",
+		"p.q.b.c.d", "q.b.c.d", "b.c.d", "single", "SINGLE.", "", ".", "..", "a..b",
+		" spaces.com ", "\tspaces.com\n", "in ner.com", "www. example.com", "www .example.com",
+		"a.com .", "nbsp\u00a0.com", "\u00a0nbsp.com", "ideo\u3000graphic.com", "nel\u0085.com",
+		"B\u00dcCHER.de", "\xff\xfe.com", "em..pty", "sp ace.com", "x.sp ace.com",
+		strings.Repeat("a.", 200) + "com",
+	}
+	for _, tbl := range []*Table{Default, quirkyTable, {}} {
+		for _, name := range names {
+			agree(t, tbl, name)
+		}
+	}
+}
+
+// The e2LD shares the name's bytes: nothing is allocated for a name that
+// needs no case folding, whatever its depth or rule kind.
+func TestE2LDAllocatesNothing(t *testing.T) {
+	names := []string{
+		"maps.google.com", "www.bbc.co.uk", "a.b.c.d.example.org", "sub.www.ck",
+		"a.b.foo.ck", "host.weirdtld", "com", "a..b", "b\u00fccher.de",
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			_, _ = Default.E2LD(name) // the errors are ErrNoEligibleDomain, by design
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("E2LD allocates %v times over %d lower-case names, want 0", allocs, len(names))
+	}
+}
 
 func TestE2LD(t *testing.T) {
 	tests := []struct {

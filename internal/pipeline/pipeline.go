@@ -130,6 +130,13 @@ func NewProcessor(cfg Config) *Processor {
 // Consume folds one observation into the aggregates. Observations whose
 // query name yields no e2LD (bare TLDs, empty names) are counted as
 // skipped and otherwise ignored.
+//
+// It skips two kinds of set insert that the processor's state proves
+// redundant, relying on invariants that Consume, Merge and
+// Snapshot/FromSnapshot all preserve: every host of a domain is in the
+// device set, and a domain whose sightings fall in one bucket has its
+// e2LD and its FQDNs in that bucket. An observation that adds no set
+// member allocates nothing.
 func (p *Processor) Consume(in Input) {
 	e2, err := p.cfg.Suffixes.E2LD(in.QName)
 	if err != nil {
@@ -144,7 +151,6 @@ func (p *Processor) Consume(in Input) {
 			device = mac
 		}
 	}
-	p.devices[device] = struct{}{}
 
 	st := p.stats[e2]
 	if st == nil {
@@ -168,7 +174,12 @@ func (p *Processor) Consume(in Input) {
 		st.LastSeen = in.Time
 	}
 	st.QueryCount++
+	knownHosts, knownFQDNs := len(st.Hosts), len(st.FQDNs)
 	st.Hosts[device] = struct{}{}
+	if len(st.Hosts) > knownHosts {
+		// Every host of a domain went into devices when it became one.
+		p.devices[device] = struct{}{}
+	}
 	st.FQDNs[in.QName] = struct{}{}
 	st.Minutes[p.minuteIndex(in.Time)] = struct{}{}
 	st.Hours[in.Time.Hour()]++
@@ -207,8 +218,12 @@ func (p *Processor) Consume(in Input) {
 		p.buckets[bi] = b
 	}
 	b.queries++
-	b.fqdns[in.QName] = struct{}{}
-	b.e2lds[e2] = struct{}{}
+	// A domain whose sightings all fall in one bucket put its e2LD there
+	// with its first sighting and each FQDN with that FQDN's first.
+	if len(st.FQDNs) > knownFQDNs || p.bucketIndex(st.FirstSeen) != p.bucketIndex(st.LastSeen) {
+		b.fqdns[in.QName] = struct{}{}
+		b.e2lds[e2] = struct{}{}
+	}
 }
 
 func (p *Processor) minuteIndex(t time.Time) int {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"reflect"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/dnswire"
 	"repro/internal/etld"
-	"repro/internal/mathx"
 )
 
 var t0 = time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -211,11 +211,32 @@ func TestReadLogErrors(t *testing.T) {
 		"not a log line",
 		"2018-03-01T00:00:00Z\tx\t10.0.0.1\twww.a.com\tA\t0\t60\t-",
 		"2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tBOGUS\t0\t60\t-",
+		"2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t-\textra",
+		"2018-02-30T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t-",
+		// "-" is the only spelling of "no answers": an empty answer would
+		// become an address every such domain shares in the IP view.
+		"2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t",
+		"2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t1.2.3.4,,5.6.7.8",
+		"2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t1.2.3.4,",
+		"2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t,1.2.3.4",
 	} {
-		err := ReadLog(strings.NewReader(bad+"\n"), func(Input) {})
+		good := "2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t1.2.3.4\n"
+		emitted := 0
+		err := ReadLog(strings.NewReader("# header\n"+good+bad+"\n"), func(Input) { emitted++ })
 		if err == nil {
 			t.Errorf("ReadLog accepted %q", bad)
+		} else if !strings.Contains(err.Error(), "line 3:") {
+			t.Errorf("ReadLog(%q) error %q does not name line 3", bad, err)
 		}
+		if emitted != 1 {
+			t.Errorf("ReadLog(%q) emitted %d observations before failing, want 1", bad, emitted)
+		}
+	}
+	if _, err := ParseLogLine("a\tb\tc"); err == nil || !strings.Contains(err.Error(), "want 8 fields, got 3") {
+		t.Errorf("short line: error %v, want the field count", err)
+	}
+	if _, err := ParseLogLine(strings.Repeat("\t", 9)); err == nil || !strings.Contains(err.Error(), "want 8 fields, got 10") {
+		t.Errorf("long line: error %v, want the field count", err)
 	}
 	// Comments and blank lines are fine.
 	if err := ReadLog(strings.NewReader("# header\n\n"), func(Input) {}); err != nil {
@@ -424,15 +445,150 @@ func TestMergeWindowDayCursorGuard(t *testing.T) {
 	}
 }
 
+// The ingest hot path allocates only what it keeps. A line's fields are
+// substrings of the line, so parsing costs the Answers slice and nothing
+// else; an observation that adds no set member costs nothing to consume,
+// DHCP pinning included.
+func TestIngestHotPathAllocations(t *testing.T) {
+	const line = "2018-03-01T09:15:02.123456789Z\t4242\t10.0.0.9\tcdn.static.example.co.uk\tA\t0\t300\t1.2.3.4,1.2.3.5"
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseLogLine(line); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("ParseLogLine allocates %v times a line, want at most 1 (the Answers slice)", allocs)
+	}
+	const nx = "2018-03-01T09:15:02Z\t7\t10.0.0.9\tgone.example.org\tAAAA\t3\t0\t-"
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseLogLine(nx); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ParseLogLine allocates %v times a line without answers, want 0", allocs)
+	}
+
+	leases := []dhcp.Lease{{MAC: "02:00:00:00:00:01", IP: "10.0.0.9", Start: t0, End: t0.Add(24 * time.Hour)}}
+	p := NewProcessor(Config{Start: t0, Days: 2, DHCP: dhcp.NewResolver(leases)})
+	seen, err := ParseLogLine(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Consume(seen)
+	if allocs := testing.AllocsPerRun(100, func() { p.Consume(seen) }); allocs != 0 {
+		t.Errorf("Consume allocates %v times for an observation that adds no set member, want 0", allocs)
+	}
+	st := p.Stats()["example.co.uk"]
+	if st == nil || st.QueryCount != 102 || len(st.Hosts) != 1 {
+		t.Fatalf("aggregate after the repeats: %+v", st)
+	}
+	if _, pinned := st.Hosts["02:00:00:00:00:01"]; !pinned {
+		t.Errorf("hosts %v: the lease's MAC is missing", st.Hosts)
+	}
+}
+
+// Consume skips set inserts that an earlier insert for the same
+// observation proves redundant. Whatever the arrival order and the bucket
+// width, and across a snapshot and restore, the aggregates must equal
+// those of the plain rule: every observation puts its device in the
+// device set and its FQDN and e2LD in its bucket.
+func TestConsumeSkipsOnlyRedundantInserts(t *testing.T) {
+	s := dnssim.NewScenario(dnssim.SmallScenario(4))
+	events := s.Collect()
+	if len(events) > 20000 {
+		events = events[:20000]
+	}
+	for _, bucket := range []time.Duration{time.Hour, 24 * time.Hour, 0} {
+		p := NewProcessor(Config{Start: s.Config.Start, Days: s.Config.Days, Bucket: bucket, DHCP: s.DHCP()})
+		devices := map[string]struct{}{}
+		type accum struct {
+			queries      int
+			fqdns, e2lds map[string]struct{}
+		}
+		buckets := map[int]*accum{}
+		for i, ev := range events {
+			if i == len(events)/2 {
+				// A restored processor keeps consuming (a shard worker's
+				// replay), so the skips must hold across a snapshot too.
+				var err error
+				if p, err = FromSnapshot(p.Snapshot(), RestoreConfig{DHCP: s.DHCP()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := Input(ev)
+			p.Consume(in)
+			e2, err := etld.E2LD(in.QName)
+			if err != nil {
+				continue
+			}
+			device := in.ClientIP
+			if mac, ok := s.DHCP().MACAt(in.ClientIP, in.Time); ok {
+				device = mac
+			}
+			devices[device] = struct{}{}
+			bi := p.bucketIndex(in.Time)
+			if buckets[bi] == nil {
+				buckets[bi] = &accum{fqdns: map[string]struct{}{}, e2lds: map[string]struct{}{}}
+			}
+			buckets[bi].queries++
+			buckets[bi].fqdns[in.QName] = struct{}{}
+			buckets[bi].e2lds[e2] = struct{}{}
+		}
+		if !reflect.DeepEqual(p.devices, devices) {
+			t.Errorf("bucket %v: %d devices, the plain rule gives %d", bucket, len(p.devices), len(devices))
+		}
+		if len(p.buckets) != len(buckets) {
+			t.Fatalf("bucket %v: %d buckets, the plain rule gives %d", bucket, len(p.buckets), len(buckets))
+		}
+		for bi, want := range buckets {
+			got := p.buckets[bi]
+			if got == nil || got.queries != want.queries ||
+				!reflect.DeepEqual(got.fqdns, want.fqdns) || !reflect.DeepEqual(got.e2lds, want.e2lds) {
+				t.Errorf("bucket %v: series point %d differs from the plain rule's", bucket, bi)
+			}
+		}
+	}
+}
+
+// BenchmarkProcessorConsume folds a scenario's events into one Processor
+// with the scenario's leases, so MACAt runs per event as in production.
 func BenchmarkProcessorConsume(b *testing.B) {
 	s := dnssim.NewScenario(dnssim.SmallScenario(9))
 	events := s.Collect()
-	rng := mathx.NewRNG(1)
-	_ = rng
-	b.ResetTimer()
+	p := NewProcessor(Config{Start: s.Config.Start, Days: s.Config.Days, DHCP: s.DHCP()})
 	b.ReportAllocs()
-	p := NewProcessor(Config{Start: s.Config.Start, Days: s.Config.Days})
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Consume(Input(events[i%len(events)]))
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkReadLog parses a scenario's text log into a counting sink.
+func BenchmarkReadLog(b *testing.B) {
+	s := dnssim.NewScenario(dnssim.SmallScenario(9))
+	var log bytes.Buffer
+	bw := bufio.NewWriter(&log)
+	events := 0
+	s.Generate(func(ev dnssim.Event) {
+		if err := WriteLogLine(bw, Input(ev)); err != nil {
+			b.Fatal(err)
+		}
+		events++
+	})
+	if err := bw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(log.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := ReadLog(bytes.NewReader(log.Bytes()), func(Input) { n++ }); err != nil {
+			b.Fatal(err)
+		}
+		if n != events {
+			b.Fatalf("read %d events, wrote %d", n, events)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# alloccheck.sh — escape-analysis gate for the scoring hot path.
+# alloccheck.sh — escape-analysis gate for the scoring and ingest hot
+# paths.
 #
 # Functions annotated with a `//alloccheck:hot` comment line (directly
-# above the declaration, in internal/core and internal/serve) are the
-# per-request hot path of the serving daemon: Scorer lookups and the
-# daemon's score handler. This script runs the compiler's escape
-# analysis (go build -gcflags='-m') over both packages, counts
+# above the declaration, in the packages listed below) are the
+# per-request hot path of the serving daemon (Scorer lookups and the
+# daemon's score handler) and the per-event e2LD extraction of ingest.
+# This script runs the compiler's escape analysis
+# (go build -gcflags='-m') over those packages, counts
 # `escapes to heap` diagnostics inside each annotated function, and
 # compares the counts against the committed budget in
 # scripts/alloccheck.baseline (one `file:Func N` line per function;
@@ -22,6 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline="scripts/alloccheck.baseline"
+packages="internal/core internal/serve internal/etld"
 update=0
 [ "${1:-}" = "-update" ] && update=1
 
@@ -41,7 +44,7 @@ marked="$(awk '
     }
     hot && !/^\/\// { hot = 0 }
     infunc && /^}/  { print fname, name, start, FNR; infunc = 0 }
-' internal/core/*.go internal/serve/*.go)"
+' $(printf '%s/*.go ' $packages))"
 # Test files never compile into the serving binary; drop any markers
 # that slipped into them.
 marked="$(grep -v '_test\.go' <<<"$marked" || true)"
@@ -53,7 +56,7 @@ fi
 
 # -m diagnostics go to stderr; naming the packages forces their
 # recompilation so the diagnostics are produced even on a warm cache.
-escapes="$(go build -gcflags='-m' ./internal/core ./internal/serve 2>&1 |
+escapes="$(go build -gcflags='-m' $(printf './%s ' $packages) 2>&1 |
     grep 'escapes to heap' || true)"
 
 budget_for() {

@@ -3,7 +3,7 @@
 #
 # Runs, in order: formatting, go vet, build, the maldlint static
 # analyzer (against the committed baseline, plus a -json schema smoke),
-# the escape-analysis gate for the scoring hot path
+# the escape-analysis gate for the scoring and ingest hot paths
 # (scripts/alloccheck.sh against its committed baseline), the full
 # test suite under the race detector, a train/score persistence round
 # trip on a tiny generated trace, a serving-daemon smoke
@@ -50,7 +50,7 @@ else
     echo "python3 not found; JSON schema covered by cmd/maldlint tests"
 fi
 
-echo "==> escape-analysis gate for the scoring hot path"
+echo "==> escape-analysis gate for the scoring and ingest hot paths"
 scripts/alloccheck.sh
 
 echo "==> go test -race ./..."
@@ -215,6 +215,7 @@ if [ "$fuzztime" != "0" ]; then
     echo "==> fuzz smoke (${fuzztime} per target)"
     go test -run='^$' -fuzz='^FuzzDecodeMessage$' -fuzztime="$fuzztime" ./internal/dnswire
     go test -run='^$' -fuzz='^FuzzParseETLD$' -fuzztime="$fuzztime" ./internal/etld
+    go test -run='^$' -fuzz='^FuzzParseLogLine$' -fuzztime="$fuzztime" ./internal/pipeline
     go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime="$fuzztime" ./internal/stream
     go test -run='^$' -fuzz='^FuzzDecodeNDJSON$' -fuzztime="$fuzztime" ./internal/serve
 fi
