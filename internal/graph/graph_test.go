@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +115,68 @@ func TestAliasTableErrors(t *testing.T) {
 	if _, err := NewAliasTable([]float64{1, -1}); err == nil {
 		t.Error("negative weight accepted")
 	}
+	// Non-finite weights used to pass both checks (NaN compares false to
+	// everything; +Inf makes every scaled weight NaN) and build a table
+	// that samples garbage. The error names the offending index.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewAliasTable([]float64{1, 2, bad, 3})
+		if err == nil {
+			t.Errorf("weight %v accepted", bad)
+		} else if !strings.Contains(err.Error(), "at 2") {
+			t.Errorf("weight %v: error %q does not name index 2", bad, err)
+		}
+	}
+	if _, err := NewAliasTable([]float64{math.MaxFloat64, math.MaxFloat64}); err == nil {
+		t.Error("finite weights with an infinite sum accepted")
+	}
+}
+
+// referenceSample is the spelling AliasTable.Sample replaced: a bounded
+// draw through RNG.Intn (which divides for Lemire's threshold on every
+// call), then the acceptance draw.
+func referenceSample(t *AliasTable, rng *mathx.RNG) int {
+	i := rng.Intn(len(t.cells))
+	if rng.Float64() < t.cells[i].prob {
+		return i
+	}
+	return int(t.cells[i].alias)
+}
+
+// TestAliasSampleMatchesReference requires the division-free Sample to
+// return the reference's index sequence and leave the generator in the
+// same state. Sizes 1 and 2 have threshold 0; 3, 7 and 1000 do not, and
+// the second seed makes the generator's first output 0 (splitmix64 maps
+// state 0 to 0), the one value certain to take the rejection branch.
+func TestAliasSampleMatchesReference(t *testing.T) {
+	const zeroFirst = -0x9e3779b97f4a7c15 & (1<<64 - 1)
+	if mathx.NewRNG(zeroFirst).Uint64() != 0 {
+		t.Fatal("seed no longer yields a zero first output; pick another rejection trigger")
+	}
+	for _, n := range []int{1, 2, 3, 7, 1000} {
+		wrng := mathx.NewRNG(uint64(n))
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = wrng.Float64() + 0.01
+		}
+		tab, err := NewAliasTable(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rejects := tab.threshold != 0; rejects != (n > 2) {
+			t.Errorf("size %d: threshold %d", n, tab.threshold)
+		}
+		for _, seed := range []uint64{42, zeroFirst} {
+			got, want := mathx.NewRNG(seed), mathx.NewRNG(seed)
+			for i := 0; i < 20000; i++ {
+				if g, w := tab.Sample(got), referenceSample(tab, want); g != w {
+					t.Fatalf("size %d seed %#x draw %d: Sample %d, reference %d", n, seed, i, g, w)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Errorf("size %d seed %#x: generators diverged", n, seed)
+			}
+		}
+	}
 }
 
 // Property: alias table sampling never returns an index with zero weight
@@ -201,8 +264,11 @@ func TestAdjacencyConsistency(t *testing.T) {
 	}
 }
 
+// BenchmarkAliasSample reports ns per draw from a 100k-outcome table
+// (an edge sampler's size: 1.6 MB of cells, so draws miss L1 and L2 the
+// way they do in training).
 func BenchmarkAliasSample(b *testing.B) {
-	weights := make([]float64, 10000)
+	weights := make([]float64, 100_000)
 	rng := mathx.NewRNG(3)
 	for i := range weights {
 		weights[i] = rng.Float64() + 0.001
@@ -216,4 +282,5 @@ func BenchmarkAliasSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab.Sample(rng)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/draw")
 }

@@ -40,25 +40,30 @@ func benchGraph(n, avgDeg int, seed uint64) *graph.Weighted {
 // BenchmarkLINETrainOrder measures raw SGD throughput for each objective
 // at Workers=1 (the deterministic configuration) and Workers=GOMAXPROCS
 // (the hogwild configuration), reporting samples/sec so BENCH_*.json
-// snapshots track the hot-loop trajectory across PRs.
+// snapshots track the hot-loop trajectory across PRs. The Dim 16 case is
+// the streaming detector's shape: both objectives at half-dim 8, two
+// vectors a row.
 func BenchmarkLINETrainOrder(b *testing.B) {
 	g := benchGraph(1000, 16, 99)
 	const samples = 500_000
 	cases := []struct {
 		name    string
 		order   Order
+		dim     int
 		workers int
 	}{
-		{"first/workers=1", OrderFirst, 1},
-		{"first/workers=max", OrderFirst, runtime.GOMAXPROCS(0)},
-		{"second/workers=1", OrderSecond, 1},
-		{"second/workers=max", OrderSecond, runtime.GOMAXPROCS(0)},
+		{"first/workers=1", OrderFirst, 32, 1},
+		{"first/workers=max", OrderFirst, 32, runtime.GOMAXPROCS(0)},
+		{"second/workers=1", OrderSecond, 32, 1},
+		{"second/workers=max", OrderSecond, 32, runtime.GOMAXPROCS(0)},
+		{"both/dim=16/workers=1", OrderBoth, 16, 1},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
+			performed := 0
 			for i := 0; i < b.N; i++ {
-				_, err := Train(g, Config{
-					Dim:     32,
+				emb, err := Train(g, Config{
+					Dim:     tc.dim,
 					Order:   tc.order,
 					Samples: samples,
 					Seed:    42,
@@ -67,8 +72,9 @@ func BenchmarkLINETrainOrder(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				performed += emb.Samples
 			}
-			b.ReportMetric(float64(samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
+			b.ReportMetric(float64(performed)/b.Elapsed().Seconds(), "samples/sec")
 		})
 	}
 }

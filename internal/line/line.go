@@ -25,12 +25,23 @@
 // perturbation hogwild SGD tolerates. With Workers=1 training is fully
 // deterministic in the seed.
 //
-// The SGD inner loop avoids per-sample transcendental and bookkeeping
+// One SGD sample is a handful of calls to matrix.step, which scores the
+// source vector against one target row and updates the row and the
+// source's gradient in a single pass. step has one contract (stated on
+// matrix_norace.go's step) and three implementations that agree bit for
+// bit: a pure-Go loop, the atomic loop of race builds, and on amd64 CPUs
+// with AVX a pair of assembly kernels (kernel_amd64.s) that run the
+// loop's four accumulators as the four lanes of one vector register.
+// Which one runs is decided by the build and, for AVX, once at start-up
+// from CPUID; there is nothing to configure, and a model does not record
+// which one trained it because it cannot tell.
+//
+// The loop around it avoids per-sample transcendental and bookkeeping
 // costs: the logistic function is a 1024-interval lookup table
 // (mathx.FastSigmoid, bounded at ±6 like the reference implementation),
-// the learning rate is recomputed only every lrInterval samples, and
-// negative sampling retries collisions in place instead of dropping the
-// sample.
+// the learning rate is recomputed only every lrInterval samples, alias
+// sampling is division- and branch-free (graph.AliasTable), and negative
+// sampling retries collisions in place instead of dropping the sample.
 //
 //maldlint:deterministic
 package line
@@ -263,28 +274,24 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 	}
 
 	var wg sync.WaitGroup
-	perWorker := cfg.Samples / cfg.Workers
-	if perWorker == 0 {
-		perWorker = 1
-	}
 	total := float64(cfg.Samples)
 	for w := 0; w < cfg.Workers; w++ {
+		first, steps := workerShare(cfg.Samples, cfg.Workers, w)
 		wg.Add(1)
-		go func(rng *mathx.RNG, workerID int) {
+		go func(rng *mathx.RNG) {
 			defer wg.Done()
-			srcScratch := make([]float64, cfg.Dim)
-			dstScratch := make([]float64, cfg.Dim)
+			src := make([]float64, cfg.Dim)
 			grad := make([]float64, cfg.Dim)
 			lr := cfg.InitialLR
 			floorLR := cfg.InitialLR * 0.0001
-			for s := 0; s < perWorker; s++ {
+			for s := 0; s < steps; s++ {
 				// Hoisted LR schedule: linear decay on local progress,
 				// recomputed every lrInterval samples instead of per
 				// sample. Workers advance in lockstep on average, and the
 				// LR changes by at most InitialLR·lrInterval/total ≈ 1e-5
 				// of its range between refreshes.
 				if s%lrInterval == 0 {
-					progress := float64(workerID*perWorker+s) / total
+					progress := float64(first+s) / total
 					lr = cfg.InitialLR * (1 - progress)
 					if lr < floorLR {
 						lr = floorLR
@@ -293,14 +300,10 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 
 				ei := edgeSampler.Sample(rng)
 				u, v := g.EdgesU[ei], g.EdgesV[ei]
-				// Skip self-loops: with tgt == emb (first order) they would
-				// alias src and dst, and the unsynchronized matrix's live
-				// rows would let the negative-sample dots observe the
-				// positive update mid-step — diverging from the atomic
-				// variant's scratch-copy reads and breaking the Workers=1
-				// cross-build bit-identical guarantee. Projection graphs
-				// never contain them (edges always have U < V), so this is
-				// purely defensive.
+				// Skip self-loops: a vertex is not its own neighbour, and
+				// first order would push a row along its own copy.
+				// Projection graphs never contain them (edges always have
+				// U < V), so this is purely defensive.
 				if u == v {
 					continue
 				}
@@ -308,15 +311,10 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 				if rng.Float64() < 0.5 {
 					u, v = v, u
 				}
-				src := emb.row(u, srcScratch)
-				for i := range grad {
-					grad[i] = 0
-				}
+				emb.load(u, src)
+				clear(grad)
 				// Positive example.
-				dst := tgt.row(v, dstScratch)
-				g1 := (1 - mathx.FastSigmoid(mathx.Dot(src, dst))) * lr
-				mathx.AddScaled(grad, g1, dst)
-				tgt.addScaled(v, g1, src)
+				tgt.step(v, src, grad, 1, lr)
 				// Negative samples: resample collisions with the positive
 				// pair in place (bounded rejection loop) so every step
 				// trains on the configured number of negatives instead of
@@ -329,17 +327,37 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 					if nv == v || nv == u {
 						continue
 					}
-					dst = tgt.row(nv, dstScratch)
-					gn := -mathx.FastSigmoid(mathx.Dot(src, dst)) * lr
-					mathx.AddScaled(grad, gn, dst)
-					tgt.addScaled(nv, gn, src)
+					tgt.step(nv, src, grad, 0, lr)
 				}
-				emb.addScaled(u, 1, grad)
+				emb.add(u, grad)
 			}
-		}(root.Split(), w)
+		}(root.Split())
 	}
 	wg.Wait()
 	return emb.rows(), nil
+}
+
+// workerShare splits samples SGD steps over workers: worker w performs
+// steps of them, the first being number first of the whole run (its
+// place on the learning-rate schedule). The first samples%workers
+// workers take one extra step, so the shares sum to samples exactly —
+// the count Embedding.Samples reports.
+func workerShare(samples, workers, w int) (first, steps int) {
+	per, extra := samples/workers, samples%workers
+	if w < extra {
+		return w * (per + 1), per + 1
+	}
+	return w*per + extra, per
+}
+
+// coeff returns the SGD step coefficient (label − σ(x))·lr for an
+// example scored x. The negative case is spelled −σ(x)·lr, not
+// (0 − σ(x))·lr: the two differ in the sign of zero when σ(x) is 0.
+func coeff(label, x, lr float64) float64 {
+	if label == 0 {
+		return -mathx.FastSigmoid(x) * lr
+	}
+	return (label - mathx.FastSigmoid(x)) * lr
 }
 
 // Inner-loop tuning constants.

@@ -1,11 +1,17 @@
 package line
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/mathx"
+	"repro/internal/race"
 )
 
 // twoCliques builds two dense cliques of size k joined by one weak
@@ -349,11 +355,236 @@ func TestWarmStartShrinksAutoSamples(t *testing.T) {
 	}
 }
 
-func BenchmarkTrainFirstOrder(b *testing.B) {
-	g := twoCliques(20)
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(g, Config{Dim: 32, Order: OrderFirst, Samples: 200_000, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
+func TestWorkerSharesSumToSamples(t *testing.T) {
+	// 10 samples over 3 workers: the first 10%3 = 1 worker takes the
+	// extra step, and each worker starts where the previous one ends.
+	want := [][2]int{{0, 4}, {4, 3}, {7, 3}}
+	for w, sh := range want {
+		if first, steps := workerShare(10, 3, w); first != sh[0] || steps != sh[1] {
+			t.Errorf("workerShare(10, 3, %d) = (%d, %d), want (%d, %d)", w, first, steps, sh[0], sh[1])
 		}
 	}
+	for _, tc := range [][2]int{{10, 3}, {2, 5}, {0, 4}, {12, 4}, {200_001, 7}, {9, 1}} {
+		samples, workers := tc[0], tc[1]
+		next := 0
+		for w := 0; w < workers; w++ {
+			first, steps := workerShare(samples, workers, w)
+			if first != next || steps < 0 {
+				t.Fatalf("workerShare(%d, %d, %d) = (%d, %d), want first %d", samples, workers, w, first, steps, next)
+			}
+			next += steps
+		}
+		if next != samples {
+			t.Errorf("%d workers perform %d steps of %d", workers, next, samples)
+		}
+	}
+	// The whole run reports what the workers perform.
+	emb, err := Train(twoCliques(4), Config{Dim: 8, Order: OrderBoth, Samples: 10, Seed: 1, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emb.Samples != 20 {
+		t.Errorf("Samples = %d, want 20", emb.Samples)
+	}
+}
+
+// embeddingSHA hashes every component's bit pattern in vertex order.
+func embeddingSHA(e *Embedding) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, vec := range e.Vectors {
+		for _, x := range vec {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pinnedTrain runs the Workers=1 configuration the pinned hashes were
+// recorded with: a 300-vertex sparse graph, 20k samples, and for the
+// warm case an Init that seeds two vertices in three and leaves the
+// rest to the random initialization.
+func pinnedTrain(t testing.TB, dim int, order Order, warm bool) *Embedding {
+	t.Helper()
+	g := benchGraph(300, 10, 17)
+	cfg := Config{Dim: dim, Order: order, Samples: 20_000, Seed: 23, Workers: 1}
+	if warm {
+		rng := mathx.NewRNG(31)
+		cfg.Init = make([][]float64, g.N)
+		for v := range cfg.Init {
+			if v%3 == 2 {
+				continue
+			}
+			row := make([]float64, dim)
+			for i := range row {
+				row[i] = rng.Float64() - 0.5
+			}
+			cfg.Init[v] = row
+		}
+	}
+	emb, err := Train(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return emb
+}
+
+// pinnedEmbeddingSHA was recorded at commit 15ef86c, before the SGD step
+// was fused and vectorised (the row/Dot/FastSigmoid/AddScaled/addScaled
+// sequence referenceStep keeps). Dim 32 and 16 run whole vectors only
+// (half-dim 16 and 8 for "both"), Dim 10 a vector plus a two-element
+// tail, and Dim 10 "both" one vector plus one element. A change to
+// these values is a change to every model the repository builds.
+var pinnedEmbeddingSHA = map[string]string{
+	"dim32/first/cold":  "7cee744f8b896cdcbe94828cb8cd40d1672deb4c83ef01e11bae3bb433add31f",
+	"dim32/first/warm":  "893ef514556171bdd7923e2e564f109fa52d1a8aaf4210294b4edcc379353aea",
+	"dim32/second/cold": "a15ba0c01b66fb8ede3159600d9ff34323e503ca37060d44ea1caccaf64921a0",
+	"dim32/second/warm": "a3364b57a0942ec2249557f7b133e4495724a3a3deff54566874a59ee2e6f243",
+	"dim32/both/cold":   "20c6110de5d5be37797319a5a38b8534791b26749f16badc71171fdc367f09b8",
+	"dim32/both/warm":   "036437279be3a8dcd3aa18ea505462a842ba926b6aecda6cbd3609ae1a4b2dd9",
+	"dim16/first/cold":  "48e3131cd58f2022a3ab4b0d07f04289dc5578c9996bd4fd09ab55ff1712378b",
+	"dim16/first/warm":  "fe7ae81f11e791d3165273455c07e1e1d4276db441443de02f992736bfe714c1",
+	"dim16/second/cold": "e5a7e227c1e6563759706653d160ba4bdc4125fb1855b4cbb4e7b6568221fef4",
+	"dim16/second/warm": "e1aa2743eaf751b941477ceb1bd84f7ab98d2a6b25b7dd5facc1161175510450",
+	"dim16/both/cold":   "163c0f509bcfce09c27f01379160112224d7ada782cc6b8fef4e4d2a28804919",
+	"dim16/both/warm":   "11ba8de05442ba0cc36e9adb59f8f33285c8f5cd03ac26724a899856c82a27ca",
+	"dim10/first/cold":  "5cb032d40f308e15315d019230be1288e7f5cf57e97b5b33167f8635a9887421",
+	"dim10/first/warm":  "2814a77b50923a3afecc741e5e216e802b2057b493aabeb904e098c5ab4f954a",
+	"dim10/second/cold": "3494c1a53df2f9dbe3109ff12575fa735aa5d84ee7094374f30a8abb45d1367a",
+	"dim10/second/warm": "3fcaa79f71b99c9c352f9fc3732f8446b8ff5261e01dc2c335dd5efd860ca7d9",
+	"dim10/both/cold":   "e8f24216e5668187ae79a0ae73d5ff07b25f07b7927252fdd225e2091a2c708d",
+	"dim10/both/warm":   "2cbe0593d1f8ebdc291897eb6ab5d5c15fb8c1affecf77fabc19a6d034f94992",
+}
+
+func TestTrainMatchesPinnedEmbeddings(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64; elsewhere the compiler may fuse multiply-adds")
+	}
+	orders := []struct {
+		name  string
+		order Order
+	}{{"first", OrderFirst}, {"second", OrderSecond}, {"both", OrderBoth}}
+	for _, dim := range []int{32, 16, 10} {
+		for _, o := range orders {
+			// Instrumented SGD is some 100x slower; the race build (the
+			// atomic step) checks the order that runs both objectives.
+			if race.Enabled && o.order != OrderBoth {
+				continue
+			}
+			for _, start := range []string{"cold", "warm"} {
+				name := fmt.Sprintf("dim%d/%s/%s", dim, o.name, start)
+				if got := embeddingSHA(pinnedTrain(t, dim, o.order, start == "warm")); got != pinnedEmbeddingSHA[name] {
+					t.Errorf("%s: embedding SHA-256 %s, pinned %s", name, got, pinnedEmbeddingSHA[name])
+				}
+			}
+		}
+	}
+}
+
+// referenceStep is the sequence matrix.step replaced, on plain slices:
+// mathx.Dot, the sigmoid, mathx.AddScaled into grad, then the row
+// update. Every step implementation must agree with it bit for bit.
+func referenceStep(row, src, grad []float64, label, lr float64) {
+	sig := mathx.FastSigmoid(mathx.Dot(src, row))
+	g := -sig * lr
+	if label == 1 {
+		g = (1 - sig) * lr
+	}
+	mathx.AddScaled(grad, g, row)
+	for i, x := range src {
+		row[i] += g * x
+	}
+}
+
+// hwNaN is the one NaN the step tests feed in: the quiet NaN x86
+// produces itself for Inf−Inf and 0·Inf. Which operand's payload a NaN
+// result carries is the hardware's choice and the compiler is free to
+// commute operands, so bit equality of NaN results is only defined when
+// a single payload is in flight.
+var hwNaN = math.Float64frombits(0xFFF8000000000000)
+
+// stepValues are the element classes the step tests draw rows from.
+var stepValues = []struct {
+	name string
+	gen  func(rng *mathx.RNG) float64
+}{
+	{"random", func(rng *mathx.RNG) float64 { return rng.Float64() - 0.5 }},
+	{"zero", func(rng *mathx.RNG) float64 { return math.Copysign(0, rng.Float64()-0.5) }},
+	{"denormal", func(rng *mathx.RNG) float64 { return math.Float64frombits(rng.Uint64() >> 12) }},
+	{"huge", func(rng *mathx.RNG) float64 { return (rng.Float64() - 0.5) * math.MaxFloat64 }},
+	{"inf", func(rng *mathx.RNG) float64 { return math.Inf(rng.Intn(2)*2 - 1) }},
+	{"nan", func(rng *mathx.RNG) float64 { return hwNaN }},
+	{"mixed", func(rng *mathx.RNG) float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return hwNaN
+		case 1:
+			return math.Inf(rng.Intn(2)*2 - 1)
+		case 2:
+			return math.Copysign(0, rng.Float64()-0.5)
+		case 3:
+			return (rng.Float64() - 0.5) * math.MaxFloat64
+		}
+		return (rng.Float64() - 0.5) * 8
+	}},
+}
+
+// runStep applies m.step to a one-row matrix holding row and returns
+// the updated row; grad is updated in place.
+func runStep(row, src, grad []float64, label, lr float64) []float64 {
+	m := newMatrix(1, len(row))
+	m.set(0, row)
+	m.step(0, src, grad, label, lr)
+	return m.rows()[0]
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// forEachStepCase calls f with rows of every length 1…40 drawn from
+// every pairing of element classes, for both labels.
+func forEachStepCase(f func(name string, row, src, grad []float64, label, lr float64)) {
+	rng := mathx.NewRNG(77)
+	fill := func(n int, gen func(*mathx.RNG) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = gen(rng)
+		}
+		return out
+	}
+	for dim := 1; dim <= 40; dim++ {
+		for _, rc := range stepValues {
+			for _, sc := range stepValues {
+				for _, label := range []float64{0, 1} {
+					name := fmt.Sprintf("dim=%d row=%s src=%s label=%v", dim, rc.name, sc.name, label)
+					f(name, fill(dim, rc.gen), fill(dim, sc.gen), fill(dim, stepValues[0].gen), label, 0.025*rng.Float64())
+				}
+			}
+		}
+	}
+}
+
+// TestStepMatchesReference checks whichever step this build selects
+// (AVX or pure Go on amd64, pure Go on arm64, atomic under -race)
+// against the sequence it replaced.
+func TestStepMatchesReference(t *testing.T) {
+	forEachStepCase(func(name string, row, src, grad []float64, label, lr float64) {
+		wantRow := append([]float64(nil), row...)
+		wantGrad := append([]float64(nil), grad...)
+		referenceStep(wantRow, src, wantGrad, label, lr)
+		gotRow := runStep(row, src, grad, label, lr)
+		if !sameBits(gotRow, wantRow) || !sameBits(grad, wantGrad) {
+			t.Fatalf("%s: step differs from reference\nrow  %v\nwant %v\ngrad %v\nwant %v", name, gotRow, wantRow, grad, wantGrad)
+		}
+	})
 }

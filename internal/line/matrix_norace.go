@@ -18,12 +18,25 @@ import "repro/internal/mathx"
 // carve-out: the production hogwild path is intentionally exempt from
 // race checking (the whole point is unsynchronized updates, which the
 // detector would rightly flag), so the race suite validates the atomic
-// variant while this file's correctness rests on the single-instruction
-// access guarantee plus hogwild's tolerance of lost increments. With
-// Workers=1 both variants perform identical arithmetic in the same
+// variant while this file's correctness rests on the no-tear guarantee
+// plus hogwild's tolerance of lost increments.
+//
+// The no-tear argument covers the AVX kernels too. They move rows with
+// 32-byte loads and stores, which x86 does not promise to perform as one
+// access — but every float64 in a row is 8-byte aligned (the allocator
+// aligns the slice, and rows are whole elements), and x86 never splits
+// an aligned 8-byte lane of a wider access. A concurrent reader can see
+// some lanes of a vector store and not others, which is a row
+// mid-update, the case above; it cannot see half an element. The
+// reference LINE implementation, built with -march=native so its loops
+// auto-vectorise, rests on the same assumption.
+//
+// With Workers=1 none of this matters: both variants, and the AVX and
+// pure-Go forms of step, perform identical arithmetic in the same
 // order, so training stays bit-deterministic in the seed across build
-// modes (provided the graph has no self-loops; trainOrder skips them,
-// see line.go).
+// modes and across amd64 machines with and without AVX. (arm64 is
+// deterministic too, but the compiler may fuse multiply-adds there, so
+// its bits are its own.)
 type matrix struct {
 	n, dim int
 	data   []float64
@@ -41,21 +54,72 @@ func (m *matrix) randomize(rng *mathx.RNG) {
 	}
 }
 
-// row returns the live storage of row v; scratch is unused in this
-// build (the race-build variant fills and returns scratch instead, so
-// callers must treat the result as read-only and valid only until the
-// next row call with the same scratch).
-func (m *matrix) row(v int32, scratch []float64) []float64 {
-	base := int(v) * m.dim
-	return m.data[base : base+m.dim : base+m.dim]
+// load copies row v into buf (length dim): the source vertex of one SGD
+// sample, read once and held while the sample's target rows move.
+func (m *matrix) load(v int32, buf []float64) {
+	copy(buf, m.data[int(v)*m.dim:])
 }
 
-// addScaled adds s*x to row v element-wise.
-func (m *matrix) addScaled(v int32, s float64, x []float64) {
+// step is one SGD update of target row t against src: it scores
+// x = src·row, takes g = (label − σ(x))·lr, then in a single pass does
+// grad[i] += g·row[i]; row[i] += g·src[i], reading row[i] before it is
+// written. src and grad have length dim and alias neither each other
+// nor row t.
+//
+// The kernel contract, which the AVX path (kernel_amd64.s), this loop
+// and matrix_race.go's atomic loop all keep, so they agree bit for bit:
+// the dot product of the leading len&^3 elements runs in four
+// accumulators, element i into accumulator i%4, each product rounded
+// before it is added (the compiler does not fuse on amd64, and the
+// kernels must not use FMA), summed as ((s0+s1)+s2)+s3; the trailing
+// len%4 products are then added in index order. When a result is NaN
+// every path returns NaN, but the payload is whichever operand's the
+// hardware picks.
+//
+//alloccheck:hot
+func (m *matrix) step(t int32, src, grad []float64, label, lr float64) {
+	base := int(t) * m.dim
+	row := m.data[base : base+m.dim : base+m.dim]
+	src, grad = src[:len(row)], grad[:len(row)]
+	n4 := len(row) &^ 3
+	vec := useAVX && n4 != 0
+
+	var s float64
+	if vec {
+		s = dotAVX(&src[0], &row[0], n4)
+	} else {
+		var s0, s1, s2, s3 float64
+		for i := 0; i < n4; i += 4 {
+			s0 += src[i] * row[i]
+			s1 += src[i+1] * row[i+1]
+			s2 += src[i+2] * row[i+2]
+			s3 += src[i+3] * row[i+3]
+		}
+		s = s0 + s1 + s2 + s3
+	}
+	for i := n4; i < len(row); i++ {
+		s += src[i] * row[i]
+	}
+	g := coeff(label, s, lr)
+
+	i := 0
+	if vec {
+		updateAVX(&row[0], &src[0], &grad[0], n4, g)
+		i = n4
+	}
+	for ; i < len(row); i++ {
+		r := row[i]
+		grad[i] += g * r
+		row[i] = r + g*src[i]
+	}
+}
+
+// add adds x to row v element-wise.
+func (m *matrix) add(v int32, x []float64) {
 	base := int(v) * m.dim
 	row := m.data[base : base+m.dim : base+m.dim]
 	for i, xv := range x {
-		row[i] += s * xv
+		row[i] += xv
 	}
 }
 

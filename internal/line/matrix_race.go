@@ -40,22 +40,56 @@ func (m *matrix) randomize(rng *mathx.RNG) {
 	}
 }
 
-// row copies row v into scratch and returns scratch.
-func (m *matrix) row(v int32, scratch []float64) []float64 {
-	base := int(v) * m.dim
-	for i := range scratch {
-		scratch[i] = math.Float64frombits(atomic.LoadUint64(&m.bits[base+i]))
-	}
-	return scratch
+func loadFloat(p *uint64) float64 {
+	return math.Float64frombits(atomic.LoadUint64(p))
 }
 
-// addScaled adds s*x to row v element-wise.
-func (m *matrix) addScaled(v int32, s float64, x []float64) {
+// load copies row v into buf (length dim): the source vertex of one SGD
+// sample, read once and held while the sample's target rows move.
+func (m *matrix) load(v int32, buf []float64) {
+	base := int(v) * m.dim
+	for i := range buf {
+		buf[i] = loadFloat(&m.bits[base+i])
+	}
+}
+
+// step is one SGD update of target row t against src, to the kernel
+// contract on matrix_norace.go's step: same accumulators, same order,
+// same pre-update read, with every element access atomic (each element
+// is loaded once for the score and once more for the update, as
+// separate atomic operations).
+//
+//alloccheck:hot
+func (m *matrix) step(t int32, src, grad []float64, label, lr float64) {
+	row := m.bits[int(t)*m.dim:][:m.dim]
+	src, grad = src[:len(row)], grad[:len(row)]
+	n4 := len(row) &^ 3
+	var s0, s1, s2, s3 float64
+	for i := 0; i < n4; i += 4 {
+		s0 += src[i] * loadFloat(&row[i])
+		s1 += src[i+1] * loadFloat(&row[i+1])
+		s2 += src[i+2] * loadFloat(&row[i+2])
+		s3 += src[i+3] * loadFloat(&row[i+3])
+	}
+	s := s0 + s1 + s2 + s3
+	for i := n4; i < len(row); i++ {
+		s += src[i] * loadFloat(&row[i])
+	}
+	g := coeff(label, s, lr)
+
+	for i := range row {
+		r := loadFloat(&row[i])
+		grad[i] += g * r
+		atomic.StoreUint64(&row[i], math.Float64bits(r+g*src[i]))
+	}
+}
+
+// add adds x to row v element-wise.
+func (m *matrix) add(v int32, x []float64) {
 	base := int(v) * m.dim
 	for i, xv := range x {
 		p := &m.bits[base+i]
-		cur := math.Float64frombits(atomic.LoadUint64(p))
-		atomic.StoreUint64(p, math.Float64bits(cur+s*xv))
+		atomic.StoreUint64(p, math.Float64bits(loadFloat(p)+xv))
 	}
 }
 

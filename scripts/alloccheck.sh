@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# alloccheck.sh — escape-analysis gate for the scoring and ingest hot
-# paths.
+# alloccheck.sh — escape-analysis gate for the scoring, ingest and SGD
+# hot paths.
 #
 # Functions annotated with a `//alloccheck:hot` comment line (directly
 # above the declaration, in the packages listed below) are the
 # per-request hot path of the serving daemon (Scorer lookups and the
-# daemon's score handler) and the per-event e2LD extraction of ingest.
+# daemon's score handler), the per-event e2LD extraction of ingest, and
+# the per-sample work of LINE training (matrix.step in both build
+# variants — only the one this build compiles can report escapes — and
+# AliasTable.Sample).
 # This script runs the compiler's escape analysis
 # (go build -gcflags='-m') over those packages, counts
 # `escapes to heap` diagnostics inside each annotated function, and
@@ -24,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline="scripts/alloccheck.baseline"
-packages="internal/core internal/serve internal/etld"
+packages="internal/core internal/serve internal/etld internal/line internal/graph"
 update=0
 [ "${1:-}" = "-update" ] && update=1
 

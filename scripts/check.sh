@@ -3,7 +3,7 @@
 #
 # Runs, in order: formatting, go vet, build, the maldlint static
 # analyzer (against the committed baseline, plus a -json schema smoke),
-# the escape-analysis gate for the scoring and ingest hot paths
+# the escape-analysis gate for the scoring, ingest and SGD hot paths
 # (scripts/alloccheck.sh against its committed baseline), the full
 # test suite under the race detector, a train/score persistence round
 # trip on a tiny generated trace, a serving-daemon smoke
@@ -50,7 +50,7 @@ else
     echo "python3 not found; JSON schema covered by cmd/maldlint tests"
 fi
 
-echo "==> escape-analysis gate for the scoring and ingest hot paths"
+echo "==> escape-analysis gate for the scoring, ingest and SGD hot paths"
 scripts/alloccheck.sh
 
 echo "==> go test -race ./..."
@@ -69,7 +69,9 @@ trap cleanup EXIT
 go run ./cmd/dnsgen -scale small -seed 7 \
     -out "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv"
 go build -o "$smokedir/maldetect" ./cmd/maldetect
-"$smokedir/maldetect" train -seed 7 \
+# One SGD worker: the serve smoke below asserts on this model's fold-in
+# verdict, and only a Workers=1 embedding is the same on every host.
+GOMAXPROCS=1 "$smokedir/maldetect" train -seed 7 \
     -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
     -out "$smokedir/model.bin"
 "$smokedir/maldetect" score -model "$smokedir/model.bin" -top 5 \
@@ -218,6 +220,7 @@ if [ "$fuzztime" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzParseLogLine$' -fuzztime="$fuzztime" ./internal/pipeline
     go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime="$fuzztime" ./internal/stream
     go test -run='^$' -fuzz='^FuzzDecodeNDJSON$' -fuzztime="$fuzztime" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzStepKernel$' -fuzztime="$fuzztime" ./internal/line
 fi
 
 echo "==> all checks passed"
