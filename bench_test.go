@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/line"
-	"repro/internal/pipeline"
 	"repro/internal/svm"
 )
 
@@ -40,30 +39,6 @@ func benchEnvironment(b *testing.B) *experiments.Env {
 		b.Fatal(envErr)
 	}
 	return envVal
-}
-
-// BenchmarkFig1TrafficGeneration regenerates the Figure 1 traffic series:
-// a full synthetic campus capture folded into per-day query volume and
-// unique FQDN/e2LD counts.
-func BenchmarkFig1TrafficGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := dnssim.NewScenario(dnssim.SmallScenario(uint64(i)))
-		p := pipeline.NewProcessor(pipeline.Config{
-			Start: s.Config.Start,
-			Days:  s.Config.Days,
-			DHCP:  s.DHCP(),
-		})
-		n := 0
-		s.Generate(func(ev dnssim.Event) {
-			p.Consume(pipeline.Input(ev))
-			n++
-		})
-		series := p.Series()
-		if len(series) == 0 {
-			b.Fatal("empty series")
-		}
-		b.ReportMetric(float64(n), "queries")
-	}
 }
 
 // BenchmarkTable1SpamCluster regenerates Table 1: X-Means over the
@@ -132,20 +107,6 @@ func BenchmarkFig5TSNE(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(res.Layout)), "points")
-	}
-}
-
-// BenchmarkFig6CombinedROC regenerates Figure 6: k-fold CV of the SVM on
-// the combined three-view embedding (paper AUC: 0.94).
-func BenchmarkFig6CombinedROC(b *testing.B) {
-	env := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := env.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.AUC, "auc")
 	}
 }
 

@@ -107,12 +107,7 @@ func loadgenDomains(modelPath, domainsPath string) ([]string, error) {
 	case modelPath != "" && domainsPath != "":
 		return nil, fmt.Errorf("loadgen: -model and -domains are mutually exclusive")
 	case modelPath != "":
-		f, err := os.Open(modelPath)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := core.LoadScorer(bufio.NewReaderSize(f, 1<<20))
-		_ = f.Close() // read-only; decode errors surface through err
+		sc, err := core.LoadScorerFile(modelPath)
 		if err != nil {
 			return nil, err
 		}

@@ -231,22 +231,11 @@ func runTrain(args []string) error {
 	fmt.Fprintf(os.Stderr, "maldetect: trained on %d domains (%s)\n",
 		len(clf.Used), classifierSummary(clf))
 
-	out, err := os.Create(*outPath)
+	size, err := core.SaveModelFile(*outPath, det, clf)
 	if err != nil {
 		return err
 	}
-	if err := det.SaveModel(out, clf); err != nil {
-		_ = out.Close() // the save error is the one worth reporting
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	info, err := os.Stat(*outPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("saved model: %s (%d bytes, %d domains)\n", *outPath, info.Size(), len(mustDomains(det)))
+	fmt.Printf("saved model: %s (%d bytes, %d domains)\n", *outPath, size, len(mustDomains(det)))
 	fmt.Printf("fingerprint: %s\n", det.Config().Fingerprint())
 	return nil
 }
@@ -267,12 +256,7 @@ func runScore(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return err
-	}
-	sc, err := core.LoadScorer(bufio.NewReaderSize(f, 1<<20))
-	_ = f.Close() // read-only; decode errors surface through err
+	sc, err := core.LoadScorerFile(*modelPath)
 	if err != nil {
 		return err
 	}

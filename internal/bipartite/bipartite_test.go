@@ -351,17 +351,6 @@ func TestFamilyCohesionInQueryView(t *testing.T) {
 	}
 }
 
-func BenchmarkProjectQueryView(b *testing.B) {
-	s := dnssim.NewScenario(dnssim.SmallScenario(51))
-	p := pipeline.NewProcessor(pipeline.Config{Start: s.Config.Start, Days: s.Config.Days, DHCP: s.DHCP()})
-	s.Generate(func(ev dnssim.Event) { p.Consume(pipeline.Input(ev)) })
-	q, _, _ := Build(p.Stats(), p.DeviceCount(), DefaultPrune)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Project(q, ProjectConfig{MinSimilarity: 0.05})
-	}
-}
-
 func TestSimilarityMeasures(t *testing.T) {
 	stats := statsFixture(map[string]domSpec{
 		"a.com": {hosts: []string{"h1", "h2", "h3"}, ips: []string{"1.1.1.1"}, minutes: []int{1}},

@@ -293,8 +293,8 @@ func BenchmarkFoldInScore(b *testing.B) {
 	}
 }
 
-// BenchmarkFoldInCacheScore measures the warm cache path BENCH_9's
-// allocs/op acceptance gate reads: repeated scores of an observed
+// BenchmarkFoldInCacheScore measures the warm cache path (the ledger's
+// core.foldin_cache_ns_per_score): repeated scores of an observed
 // domain against one model generation.
 func BenchmarkFoldInCacheScore(b *testing.B) {
 	sc := tinyScorer(b, 5)

@@ -22,10 +22,9 @@ import (
 // seam, not a behavior change.
 const goldenModelSHA256 = "babb19a785f075ccd77f8bd6619c3a6a5eede35c3d3f9c676467549c15ab0185"
 
-// goldenModelBytes trains the fixed tiny fixture — 8 domains, 3 hosts,
-// deterministic timestamps, Workers=1, seed 42 — and returns the
-// serialized model file.
-func goldenModelBytes(t *testing.T) []byte {
+// goldenModel trains the fixed tiny fixture — 8 domains, 3 hosts,
+// deterministic timestamps, Workers=1, seed 42.
+func goldenModel(t *testing.T) (*Detector, *Classifier) {
 	t.Helper()
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	det := NewDetector(Config{
@@ -63,6 +62,13 @@ func goldenModelBytes(t *testing.T) []byte {
 	if err != nil {
 		t.Fatalf("TrainClassifier: %v", err)
 	}
+	return det, clf
+}
+
+// goldenModelBytes returns the fixture's serialized model file.
+func goldenModelBytes(t *testing.T) []byte {
+	t.Helper()
+	det, clf := goldenModel(t)
 	var buf bytes.Buffer
 	if err := det.SaveModel(&buf, clf); err != nil {
 		t.Fatalf("SaveModel: %v", err)
@@ -94,36 +100,9 @@ func TestGoldenModelVersionCompat(t *testing.T) {
 		t.Fatalf("golden v2 stream refused: %v", err)
 	}
 
-	// Rebuild the fixture's live state to hand-write the v1 and v3
-	// layouts around the same embeddings and classifier.
-	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	det := NewDetector(Config{
-		Start: start, Days: 1, EmbedDim: 4, EmbedSamples: 20_000, Seed: 42, Workers: 1,
-	})
-	for i := 0; i < 8; i++ {
-		for h := 0; h < 3; h++ {
-			for m := 0; m < 3; m++ {
-				det.Consume(pipeline.Input{
-					Time:     start.Add(time.Duration(2*i+m) * time.Minute),
-					ClientIP: fmt.Sprintf("10.0.0.%d", (i+h)%10),
-					QName:    fmt.Sprintf("www.dom%d.com", i),
-					Answers:  []string{fmt.Sprintf("198.51.100.%d", (i+m)%8)},
-				})
-			}
-		}
-	}
-	if err := det.BuildModel(); err != nil {
-		t.Fatal(err)
-	}
-	domains, _ := det.Domains()
-	labels := make([]int, len(domains))
-	for i := range domains {
-		labels[i] = i % 2
-	}
-	clf, err := det.TrainClassifier(domains, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The fixture's live state, to hand-write the v1 and v3 layouts
+	// around the same embeddings and classifier.
+	det, clf := goldenModel(t)
 
 	hdr := modelHeader{
 		Magic:       modelMagic,

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/crcio"
+	"repro/internal/faultio"
 	"repro/internal/line"
 	"repro/internal/svm"
 )
@@ -130,34 +131,49 @@ func (d *Detector) SaveModel(w io.Writer, clf *Classifier) error {
 		Domains:     d.domains,
 		Views:       clf.views,
 	}
-	cw := crcio.NewWriter(w)
-	enc := gob.NewEncoder(cw)
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("core: encoding model header: %w", err)
-	}
-	if version >= modelVersionBackends {
-		if err := enc.Encode(bk); err != nil {
-			return fmt.Errorf("core: encoding model backends: %w", err)
+	return crcio.Seal(w, "", func(w io.Writer) error {
+		enc := gob.NewEncoder(w)
+		if err := enc.Encode(hdr); err != nil {
+			return fmt.Errorf("core: encoding model header: %w", err)
 		}
-	}
-	for _, v := range bipartite.Views {
-		e := d.embeddings[v]
-		// Embeddings always persist through the line wire format
-		// regardless of which backend trained them: the on-disk blob is
-		// plain (dim, vectors), and reusing one format keeps default
-		// files byte-identical to pre-registry builds.
-		if err := (&line.Embedding{Dim: e.Dim, Vectors: e.Vectors}).Save(cw); err != nil {
-			return fmt.Errorf("core: saving %v embedding: %w", v, err)
+		if version >= modelVersionBackends {
+			if err := enc.Encode(bk); err != nil {
+				return fmt.Errorf("core: encoding model backends: %w", err)
+			}
 		}
-	}
-	if err := clf.clf.Save(cw); err != nil {
-		return fmt.Errorf("core: saving classifier: %w", err)
-	}
-	if err := cw.WriteTrailer(); err != nil {
-		return fmt.Errorf("core: sealing model: %w", err)
-	}
-	return nil
+		for _, v := range bipartite.Views {
+			e := d.embeddings[v]
+			// Embeddings always persist through the line wire format
+			// regardless of which backend trained them: the on-disk blob is
+			// plain (dim, vectors), and reusing one format keeps default
+			// files byte-identical to pre-registry builds.
+			if err := (&line.Embedding{Dim: e.Dim, Vectors: e.Vectors}).Save(w); err != nil {
+				return fmt.Errorf("core: saving %v embedding: %w", v, err)
+			}
+		}
+		if err := clf.clf.Save(w); err != nil {
+			return fmt.Errorf("core: saving classifier: %w", err)
+		}
+		return nil
+	})
 }
+
+// SaveModelFile atomically replaces path with the saved model
+// (crcio.Commit) and returns its size: a crash, a failed write, or a
+// scoring process reloading mid-write finds the previous model intact.
+func SaveModelFile(path string, d *Detector, clf *Classifier) (int64, error) {
+	return saveModelFile(faultio.OS, path, d, clf)
+}
+
+// saveModelFile is SaveModelFile with an injectable filesystem, the
+// seam the fault-injection tests drive.
+func saveModelFile(fs faultio.FS, path string, d *Detector, clf *Classifier) (int64, error) {
+	return crcio.Commit(fs, path, ".model-*", func(w io.Writer) error { return d.SaveModel(w, clf) })
+}
+
+// LoadScorerFile loads the model file at path. A missing file is
+// reported as-is (os.IsNotExist-compatible).
+func LoadScorerFile(path string) (*Scorer, error) { return crcio.ReadFile(path, LoadScorer) }
 
 // Scorer serves a persisted model: feature vectors, decision values and
 // predictions for the domains retained at build time, with none of the
@@ -206,28 +222,38 @@ type Scorer struct {
 // in the file is detected deterministically. Legacy version-1 streams
 // (written before the trailer existed) still load.
 func LoadScorer(r io.Reader) (*Scorer, error) {
-	cr := crcio.NewReader(r)
+	s := new(Scorer)
+	if err := crcio.Open(r, "", s.read); err != nil {
+		return nil, err
+	}
+	s.precompute()
+	return s, nil
+}
+
+// read decodes a model stream's sections into s and reports whether
+// the stream's version carries a trailer.
+func (s *Scorer) read(cr io.Reader) (bool, error) {
 	dec := gob.NewDecoder(cr)
 	var hdr modelHeader
 	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("core: decoding model header: %w", err)
+		return false, fmt.Errorf("core: decoding model header: %w", err)
 	}
 	if hdr.Magic != modelMagic {
-		return nil, fmt.Errorf("core: not a model stream (magic %q)", hdr.Magic)
+		return false, fmt.Errorf("core: not a model stream (magic %q)", hdr.Magic)
 	}
 	if hdr.Version != modelVersion && hdr.Version != modelVersionBackends && hdr.Version != 1 {
-		return nil, fmt.Errorf("core: model version %d, this build reads %d (and legacy 2, 1)",
+		return false, fmt.Errorf("core: model version %d, this build reads %d (and legacy 2, 1)",
 			hdr.Version, modelVersionBackends)
 	}
 	if hdr.EmbedDim <= 0 || len(hdr.Domains) == 0 {
-		return nil, errors.New("core: corrupt model: empty domain set or dimension")
+		return false, errors.New("core: corrupt model: empty domain set or dimension")
 	}
 	if len(hdr.Views) == 0 {
-		return nil, errors.New("core: corrupt model: classifier has no views")
+		return false, errors.New("core: corrupt model: classifier has no views")
 	}
 	for _, v := range hdr.Views {
 		if v != bipartite.ViewQuery && v != bipartite.ViewIP && v != bipartite.ViewTime {
-			return nil, fmt.Errorf("core: corrupt model: unknown view %d", int(v))
+			return false, fmt.Errorf("core: corrupt model: unknown view %d", int(v))
 		}
 	}
 	// Version-1/2 streams predate backend names; they were always
@@ -236,18 +262,18 @@ func LoadScorer(r io.Reader) (*Scorer, error) {
 	bk := modelBackends{Embedder: DefaultEmbedder, Classifier: DefaultClassifier, ViewSet: DefaultViewSet}
 	if hdr.Version >= modelVersionBackends {
 		if err := dec.Decode(&bk); err != nil {
-			return nil, fmt.Errorf("core: decoding model backends: %w", err)
+			return false, fmt.Errorf("core: decoding model backends: %w", err)
 		}
 		if _, ok := embedders[bk.Embedder]; !ok {
-			return nil, fmt.Errorf("core: model needs unknown embedder %q (available: %s)",
+			return false, fmt.Errorf("core: model needs unknown embedder %q (available: %s)",
 				bk.Embedder, strings.Join(Embedders(), ", "))
 		}
 		if _, ok := clfLoaders[bk.Classifier]; !ok {
-			return nil, fmt.Errorf("core: model needs unknown classifier %q (available: %s)",
+			return false, fmt.Errorf("core: model needs unknown classifier %q (available: %s)",
 				bk.Classifier, strings.Join(Classifiers(), ", "))
 		}
 	}
-	s := &Scorer{
+	*s = Scorer{
 		fingerprint:    hdr.Fingerprint,
 		dim:            hdr.EmbedDim,
 		domains:        hdr.Domains,
@@ -263,29 +289,23 @@ func LoadScorer(r io.Reader) (*Scorer, error) {
 	for _, v := range bipartite.Views {
 		emb, err := line.LoadEmbedding(cr)
 		if err != nil {
-			return nil, fmt.Errorf("core: loading %v embedding: %w", v, err)
+			return false, fmt.Errorf("core: loading %v embedding: %w", v, err)
 		}
 		if emb.Dim != hdr.EmbedDim {
-			return nil, fmt.Errorf("core: %v embedding dim %d, header says %d", v, emb.Dim, hdr.EmbedDim)
+			return false, fmt.Errorf("core: %v embedding dim %d, header says %d", v, emb.Dim, hdr.EmbedDim)
 		}
 		if len(emb.Vectors) != len(hdr.Domains) {
-			return nil, fmt.Errorf("core: %v embedding has %d vectors for %d domains",
+			return false, fmt.Errorf("core: %v embedding has %d vectors for %d domains",
 				v, len(emb.Vectors), len(hdr.Domains))
 		}
 		s.embeddings[v] = &Embedding{Dim: emb.Dim, Vectors: emb.Vectors}
 	}
 	clf, err := loadClassifier(bk.Classifier, cr)
 	if err != nil {
-		return nil, fmt.Errorf("core: loading classifier: %w", err)
+		return false, fmt.Errorf("core: loading classifier: %w", err)
 	}
 	s.clf = clf
-	if hdr.Version >= 2 {
-		if err := cr.VerifyTrailer(); err != nil {
-			return nil, fmt.Errorf("core: model integrity check: %w", err)
-		}
-	}
-	s.precompute()
-	return s, nil
+	return hdr.Version >= 2, nil
 }
 
 // precompute fills the decision table: one Decision evaluation per

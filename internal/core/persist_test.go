@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -277,5 +280,56 @@ func TestModelPersistFaultInjection(t *testing.T) {
 	var short bytes.Buffer
 	if err := d.SaveModel(faultio.ShortWriter(&short, 10), clf); err == nil {
 		t.Fatal("save through a short writer reported success")
+	}
+}
+
+// TestSaveModelFileFaults drives the model file's commit through every
+// injected failure the faultio seam models (the table
+// stream.TestWriteCheckpointFaults runs against the checkpoint): a failed
+// `maldetect train -out m.bin` over an existing m.bin leaves the previous
+// model byte-identical and loadable, and litters no temp files.
+func TestSaveModelFileFaults(t *testing.T) {
+	det, clf := goldenModel(t)
+	wrap := func(fw func(io.Writer, int64) io.Writer) *faultio.Faults {
+		return &faultio.Faults{WrapWriter: func(w io.Writer) io.Writer { return fw(w, 64) }}
+	}
+	cases := []struct {
+		name   string
+		faults *faultio.Faults
+		want   error
+	}{
+		{"create fails", &faultio.Faults{FailCreate: true}, faultio.ErrInjected},
+		{"write fails mid-stream", wrap(faultio.FailWriter), faultio.ErrInjected},
+		{"torn write", wrap(faultio.TornWriter), faultio.ErrInjected},
+		{"short write", wrap(faultio.ShortWriter), io.ErrShortWrite},
+		{"sync fails", &faultio.Faults{FailSync: true}, faultio.ErrInjected},
+		{"close fails", &faultio.Faults{FailClose: true}, faultio.ErrInjected},
+		{"rename fails", &faultio.Faults{FailRename: true}, faultio.ErrInjected},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "m.bin")
+			size, err := SaveModelFile(path, det, clf)
+			prev, rerr := os.ReadFile(path)
+			if err != nil || rerr != nil || int64(len(prev)) != size {
+				t.Fatalf("first save: %d bytes reported, %d read back, err=%v/%v", size, len(prev), err, rerr)
+			}
+			if _, err := saveModelFile(tc.faults, path, det, clf); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v in the chain", err, tc.want)
+			}
+			if tc.faults.Renames != 0 {
+				t.Fatal("failed write reached the commit rename")
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(prev, after) {
+				t.Fatal("previous model modified by a failed write")
+			}
+			if _, err := LoadScorerFile(path); err != nil {
+				t.Fatalf("previous model unloadable after failed write: %v", err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("temp litter after failed write: %d entries", len(entries))
+			}
+		})
 	}
 }

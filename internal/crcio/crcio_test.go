@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -14,11 +15,8 @@ import (
 func sealed(t *testing.T, payload string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if _, err := io.WriteString(w, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteTrailer(); err != nil {
+	err := Seal(&buf, "", func(w io.Writer) error { _, err := io.WriteString(w, payload); return err })
+	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -124,4 +122,110 @@ func TestNonByteReaderSource(t *testing.T) {
 	if err := r.VerifyTrailer(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The three sealed-file layouts in production, in miniature: the stream
+// and shard checkpoints are a raw magic plus one gob payload; the model
+// has no raw magic, stacks gob sections, and only its version 1 may lack
+// the trailer.
+type ckptPayload struct {
+	Version int
+	Days    []int
+}
+
+var layouts = []struct {
+	name string
+	seal func(w io.Writer) error
+	open func(r io.Reader) (sealed bool, err error)
+}{
+	{"stream", func(w io.Writer) error { return SealGob(w, "maldomain-ckpt\n", ckptPayload{1, []int{3, 4}}) },
+		func(r io.Reader) (bool, error) { return true, OpenGob(r, "maldomain-ckpt\n", new(ckptPayload)) }},
+	{"shard", func(w io.Writer) error { return SealGob(w, "maldomain-shard\n", ckptPayload{1, []int{5}}) },
+		func(r io.Reader) (bool, error) { return true, OpenGob(r, "maldomain-shard\n", new(ckptPayload)) }},
+	{"model", func(w io.Writer) error {
+		return Seal(w, "", func(w io.Writer) error {
+			if err := gob.NewEncoder(w).Encode(2); err != nil {
+				return err
+			}
+			return gob.NewEncoder(w).Encode([]float64{0.25, -1.5})
+		})
+	}, func(r io.Reader) (sealed bool, err error) {
+		err = Open(r, "", func(r io.Reader) (bool, error) {
+			var version int
+			var vec []float64
+			if err := gob.NewDecoder(r).Decode(&version); err != nil || version < 1 || version > 2 {
+				return false, fmt.Errorf("%w: version %d: %v", ErrCorrupt, version, err)
+			}
+			if err := gob.NewDecoder(r).Decode(&vec); err != nil {
+				return false, fmt.Errorf("%w: vectors: %w", ErrCorrupt, err)
+			}
+			sealed = version >= 2
+			return sealed, nil
+		})
+		return sealed, err
+	}},
+}
+
+func sealedLayout(t testing.TB, i int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := layouts[i].seal(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSealedLayouts: each layout opens its own stream, no layout opens
+// another's, and a trailer mismatch is both the typed cause and the
+// specific one.
+func TestSealedLayouts(t *testing.T) {
+	for i, l := range layouts {
+		data := sealedLayout(t, i)
+		for j, other := range layouts {
+			_, err := other.open(bytes.NewReader(data))
+			if (i == j) != (err == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+				t.Errorf("%s stream through %s opener: err = %v", l.name, other.name, err)
+			}
+		}
+		data[len(data)-1] ^= 1
+		if _, err := l.open(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: flipped trailer: err = %v, want ErrCorrupt and ErrChecksum", l.name, err)
+		}
+	}
+}
+
+// FuzzOpen is the one byte-level target for every sealed file: whatever
+// the input, each layout's opener returns a payload or a typed error,
+// never panics; and a sealed payload is only ever returned for bytes
+// that verify, so flipping any bit of an accepted stream must turn it
+// into a refusal. The semantic checks callers run behind the envelope
+// keep their own target (stream.FuzzRestore).
+func FuzzOpen(f *testing.F) {
+	for i := range layouts {
+		valid := sealedLayout(f, i)
+		f.Add(valid, uint(0))
+		f.Add(valid, uint(len(valid)*8-1))
+		f.Add(valid[:len(valid)/2], uint(7))
+		f.Add(valid[:len(valid)-3], uint(7))
+	}
+	f.Add([]byte{}, uint(0))
+	f.Fuzz(func(t *testing.T, data []byte, bit uint) {
+		for _, l := range layouts {
+			r := bytes.NewReader(data)
+			sealed, err := l.open(r)
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: untyped refusal %v", l.name, err)
+			}
+			if err != nil || !sealed {
+				continue
+			}
+			// The accepted stream is the prefix the opener consumed.
+			stream := bytes.Clone(data[:len(data)-r.Len()])
+			bit %= uint(len(stream) * 8)
+			stream[bit/8] ^= 1 << (bit % 8)
+			if _, err := l.open(bytes.NewReader(stream)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: bit %d flipped: err = %v, want ErrCorrupt", l.name, bit, err)
+			}
+		}
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,86 +76,6 @@ func TestFailReader(t *testing.T) {
 	got, err = io.ReadAll(r)
 	if err != nil || string(got) != "ab" {
 		t.Fatalf("short underlying: got %q err=%v", got, err)
-	}
-}
-
-// writeVia runs the canonical atomic-write sequence (create temp,
-// write, sync, close, rename) against fs, the sequence the fault cases
-// below interrupt at every step.
-func writeVia(fs FS, path string, data []byte) error {
-	f, err := fs.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(f.Name())
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(f.Name())
-		return err
-	}
-	if err := fs.Rename(f.Name(), path); err != nil {
-		_ = fs.Remove(f.Name())
-		return err
-	}
-	return nil
-}
-
-func TestOSFSAtomicWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.bin")
-	if err := writeVia(OS, path, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "v1" {
-		t.Fatalf("read back %q err=%v", got, err)
-	}
-}
-
-func TestFaultsEachStep(t *testing.T) {
-	cases := []struct {
-		name   string
-		faults *Faults
-	}{
-		{"create", &Faults{FailCreate: true}},
-		{"write", &Faults{WrapWriter: func(w io.Writer) io.Writer { return FailWriter(w, 1) }}},
-		{"torn", &Faults{WrapWriter: func(w io.Writer) io.Writer { return TornWriter(w, 1) }}},
-		{"sync", &Faults{FailSync: true}},
-		{"close", &Faults{FailClose: true}},
-		{"rename", &Faults{FailRename: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "state.bin")
-			if err := writeVia(OS, path, []byte("previous")); err != nil {
-				t.Fatal(err)
-			}
-			err := writeVia(tc.faults, path, []byte("next-generation"))
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("fault not surfaced: err=%v", err)
-			}
-			if tc.faults.Renames != 0 {
-				t.Error("failed write still reached the rename step")
-			}
-			// The previous generation survives every fault.
-			got, rerr := os.ReadFile(path)
-			if rerr != nil || string(got) != "previous" {
-				t.Fatalf("previous state damaged: %q err=%v", got, rerr)
-			}
-			// No temp litter except where cleanup itself was impossible.
-			ents, _ := os.ReadDir(dir)
-			if len(ents) != 1 {
-				t.Errorf("temp file leaked: %d entries in dir", len(ents))
-			}
-		})
 	}
 }
 

@@ -39,8 +39,8 @@ func benchGraph(n, avgDeg int, seed uint64) *graph.Weighted {
 
 // BenchmarkLINETrainOrder measures raw SGD throughput for each objective
 // at Workers=1 (the deterministic configuration) and Workers=GOMAXPROCS
-// (the hogwild configuration), reporting samples/sec so BENCH_*.json
-// snapshots track the hot-loop trajectory across PRs. The Dim 16 case is
+// (the hogwild configuration), reporting samples/sec — the package-level
+// view of the ledger's line.samples_per_s. The Dim 16 case is
 // the streaming detector's shape: both objectives at half-dim 8, two
 // vectors a row.
 func BenchmarkLINETrainOrder(b *testing.B) {

@@ -7,7 +7,7 @@ import (
 )
 
 // fastPaths is a small dependency-linked package subset used by the
-// engine tests: etld imports nothing internal, crcio nothing, and
+// engine tests: etld imports nothing internal, crcio only faultio, and
 // lint itself pulls neither — loading them exercises the cache without
 // type-checking the whole module.
 var fastPaths = []string{

@@ -146,9 +146,9 @@ func (r Report) String() string {
 }
 
 // BenchJSON renders the report in cmd/benchjson's schema, so loadgen
-// results merge into the same BENCH_*.json files as go test -bench
-// output. Iterations is the request count and ns_per_op the mean
-// request latency; rates and percentiles ride in metrics.
+// results merge (benchjson -merge) with go test -bench output.
+// Iterations is the request count and ns_per_op the mean request
+// latency; rates and percentiles ride in metrics.
 func (r Report) BenchJSON(name string) ([]byte, error) {
 	var nsPerOp float64
 	if r.OK > 0 {

@@ -120,9 +120,10 @@ type RestoreConfig struct {
 }
 
 // FromSnapshot rebuilds a Processor from a snapshot. The snapshot is
-// validated — a corrupt or internally inconsistent snapshot returns an
-// error, never a panic — and its state is deep-copied, so mutating the
-// snapshot afterwards does not alias the processor.
+// validated — a corrupt or internally inconsistent snapshot, including
+// one that breaks the two set invariants Consume's skipped inserts rely
+// on, returns an error, never a panic — and its state is deep-copied,
+// so mutating the snapshot afterwards does not alias the processor.
 func FromSnapshot(s *Snapshot, rc RestoreConfig) (*Processor, error) {
 	if s == nil {
 		return nil, errors.New("pipeline: nil snapshot")
@@ -161,6 +162,11 @@ func FromSnapshot(s *Snapshot, rc RestoreConfig) (*Processor, error) {
 			return nil, fmt.Errorf("pipeline: corrupt snapshot: %q PerDay length %d, want %d",
 				ds.E2LD, len(ds.PerDay), s.Days)
 		}
+		for _, h := range ds.Hosts {
+			if _, ok := p.devices[h]; !ok {
+				return nil, fmt.Errorf("pipeline: corrupt snapshot: %q host %q is not a device", ds.E2LD, h)
+			}
+		}
 		st := &DomainStats{
 			E2LD:           ds.E2LD,
 			FirstSeen:      ds.FirstSeen,
@@ -194,6 +200,25 @@ func FromSnapshot(s *Snapshot, rc RestoreConfig) (*Processor, error) {
 			queries: bs.Queries,
 			fqdns:   toSet(bs.FQDNs),
 			e2lds:   toSet(bs.E2LDs),
+		}
+	}
+	for i := range s.Domains {
+		ds := &s.Domains[i]
+		bi := p.bucketIndex(ds.FirstSeen)
+		if bi != p.bucketIndex(ds.LastSeen) {
+			continue
+		}
+		b, ok := p.buckets[bi]
+		if ok {
+			_, ok = b.e2lds[ds.E2LD]
+		}
+		if !ok {
+			return nil, fmt.Errorf("pipeline: corrupt snapshot: %q missing from its only bucket %d", ds.E2LD, bi)
+		}
+		for _, q := range ds.FQDNs {
+			if _, ok := b.fqdns[q]; !ok {
+				return nil, fmt.Errorf("pipeline: corrupt snapshot: %q FQDN %q missing from its only bucket %d", ds.E2LD, q, bi)
+			}
 		}
 	}
 	return p, nil

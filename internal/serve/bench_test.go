@@ -41,8 +41,8 @@ func (w *benchWriter) reset()                      { w.code = 0; w.n = 0 }
 // BenchmarkServeScore measures single-domain GETs through the full
 // stack — router, gate, metrics, scoring, manual encoding — with the
 // request and writer reused so the handler's own allocations are what
-// the -benchmem column shows. BENCH_7's allocs/op acceptance gate
-// reads this benchmark.
+// the -benchmem column shows; the ledger's
+// serve.handler_allocs_per_req is the same measurement.
 func BenchmarkServeScore(b *testing.B) {
 	s := benchServer(b)
 	dom := s.Scorer().Domains()[0]
@@ -133,8 +133,7 @@ func largeBatch(s *Server, n int) []string {
 }
 
 // BenchmarkServeBatchLarge measures a MaxBatch-sized buffered batch:
-// the domains/sec figure here is the one BENCH_7's ≥1M domains/sec
-// acceptance gate reads.
+// the handler-level counterpart of the ledger's batch_domains_per_s.
 func BenchmarkServeBatchLarge(b *testing.B) {
 	s := benchServer(b)
 	batch := largeBatch(s, 10_000)
@@ -156,8 +155,7 @@ func BenchmarkServeBatchLarge(b *testing.B) {
 // BenchmarkServeFoldinScore measures the unknown-domain fold-in path
 // through the full stack after the cache is warm: routing, gate, the
 // decision-table miss, the fold-in cache hit, and the enriched
-// encoding. BENCH_9's ≤2 allocs/op acceptance gate reads this
-// benchmark.
+// encoding, at ≤2 allocs/op.
 func BenchmarkServeFoldinScore(b *testing.B) {
 	s := benchServer(b)
 	neighbors := s.Scorer().Domains()

@@ -5,7 +5,7 @@ package serve
 // BatchResponse, the ErrorBody envelope), yet encoding/json
 // costs dozens of heap allocations per call: the encoder machinery,
 // reflection state, and intermediate buffers dominated the serve
-// profile (BENCH_4: 42 allocs and 7.9 KB per single score). This file
+// profile (42 allocs and 7.9 KB per single score). This file
 // hand-encodes exactly those shapes into pooled []byte buffers.
 //
 // The contract is byte-for-byte equivalence with what

@@ -47,7 +47,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,7 +54,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -263,17 +261,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // loadModel reads cfg.ModelPath into a fresh modelState without
-// touching the served pointer. The bufio wrapper matters: the model
-// stream holds several gob streams back to back, and a reader without
-// io.ByteReader would make each decoder buffer (and lose) the next
-// stream's prefix.
+// touching the served pointer.
 func (s *Server) loadModel() (*modelState, error) {
-	f, err := os.Open(s.cfg.ModelPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc, err := core.LoadScorer(bufio.NewReaderSize(f, 1<<20))
+	sc, err := core.LoadScorerFile(s.cfg.ModelPath)
 	if err != nil {
 		return nil, err
 	}

@@ -2,22 +2,17 @@ package shard
 
 // Per-shard checkpoint persistence. Each shard's file captures the
 // worker's open-day aggregates plus its (day floor, sequence) cursor,
-// CRC-sealed and committed atomically through the same
-// temp-fsync-rename sequence the stream checkpoint uses — through the
-// injectable faultio seam, so the chaos tests can tear a write at any
-// step and prove the previous generation survives. The files are
-// process-scratch, not durable deployment state: a restart of the whole
-// process goes through the stream checkpoint and replay instead, so New
-// clears stale shard files.
+// sealed and committed by internal/crcio like the stream checkpoint —
+// through the injectable faultio seam, so the chaos tests can tear a
+// write at any step and prove the previous generation survives. The
+// files are process-scratch, not durable deployment state: a restart of
+// the whole process goes through the stream checkpoint and replay
+// instead, so New clears stale shard files.
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/crcio"
 	"repro/internal/pipeline"
@@ -43,9 +38,8 @@ type shardWire struct {
 	Days        []shardDaySnap
 }
 
-// writeCheckpoint commits one shard's snapshot to its file atomically:
-// temp file in the same directory, flush, fsync, close, rename. On any
-// failure the temp file is removed and the previous checkpoint is left
+// writeCheckpoint commits one shard's snapshot to its file atomically
+// (crcio.Commit): on any failure the previous checkpoint is left
 // untouched.
 func (p *Pool) writeCheckpoint(id int, rep ckptReply) error {
 	wire := shardWire{
@@ -56,74 +50,23 @@ func (p *Pool) writeCheckpoint(id int, rep ckptReply) error {
 		DayFloor:    rep.dayFloor,
 		Days:        rep.days,
 	}
-	fs := p.cfg.FS
-	path := p.ckptPath(id)
-	f, err := fs.CreateTemp(filepath.Dir(path), ".shard-*")
-	if err != nil {
-		return fmt.Errorf("shard %d: creating checkpoint temp file: %w", id, err)
-	}
-	tmp := f.Name()
-	fail := func(step string, err error) error {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return fmt.Errorf("shard %d: %s checkpoint %s: %w", id, step, tmp, err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := crcio.NewWriter(bw)
-	if _, err := io.WriteString(cw, shardMagic); err != nil {
-		return fail("writing", err)
-	}
-	if err := gob.NewEncoder(cw).Encode(wire); err != nil {
-		return fail("encoding", err)
-	}
-	if err := cw.WriteTrailer(); err != nil {
-		return fail("sealing", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail("flushing", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail("syncing", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return fmt.Errorf("shard %d: closing checkpoint %s: %w", id, tmp, err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		_ = fs.Remove(tmp)
-		return fmt.Errorf("shard %d: committing checkpoint %s: %w", id, path, err)
-	}
-	return nil
+	_, err := crcio.Commit(p.cfg.FS, p.ckptPath(id), ".shard-*", func(w io.Writer) error {
+		return crcio.SealGob(w, shardMagic, wire)
+	})
+	return err
 }
 
 // readCheckpoint loads a shard's checkpoint file into a worker state.
 func (p *Pool) readCheckpoint(id int) (workerState, error) {
-	f, err := os.Open(p.ckptPath(id))
+	wire, err := crcio.ReadFile(p.ckptPath(id), func(rd io.Reader) (wire shardWire, err error) {
+		err = crcio.OpenGob(rd, shardMagic, &wire)
+		return wire, err
+	})
+	if errors.Is(err, crcio.ErrCorrupt) {
+		err = fmt.Errorf("%w: %w", ErrCorruptCheckpoint, err)
+	}
 	if err != nil {
 		return workerState{}, err
-	}
-	st, rerr := p.decodeCheckpoint(bufio.NewReaderSize(f, 1<<20), id)
-	if cerr := f.Close(); rerr == nil && cerr != nil {
-		return workerState{}, cerr
-	}
-	return st, rerr
-}
-
-func (p *Pool) decodeCheckpoint(rd io.Reader, id int) (workerState, error) {
-	cr := crcio.NewReader(rd)
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return workerState{}, fmt.Errorf("%w: reading magic: %v", ErrCorruptCheckpoint, err)
-	}
-	if string(magic) != shardMagic {
-		return workerState{}, fmt.Errorf("%w: not a shard checkpoint", ErrCorruptCheckpoint)
-	}
-	var wire shardWire
-	if err := gob.NewDecoder(cr).Decode(&wire); err != nil {
-		return workerState{}, fmt.Errorf("%w: decoding: %v", ErrCorruptCheckpoint, err)
-	}
-	if err := cr.VerifyTrailer(); err != nil {
-		return workerState{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	if wire.Version != shardCkptVersion {
 		return workerState{}, fmt.Errorf("shard: checkpoint version %d, this build reads %d",

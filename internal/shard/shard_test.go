@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -415,6 +416,11 @@ func TestQuarantineProducesExactDegradedReport(t *testing.T) {
 	}
 }
 
+// shard0CkptSHA256 is the SHA-256 of shard 0's checkpoint file after day
+// 0's close in TestRestartFromCheckpointReplaysExactlyOnce, recorded at
+// the commit before the sealed-file layer (PR 16) took over framing.
+const shard0CkptSHA256 = "2cedfc07ec9276ccdb801092bedfb3de043e3c313b3ec1cd13f66e0bb9390361"
+
 func TestRestartFromCheckpointReplaysExactlyOnce(t *testing.T) {
 	s := tinyScenario(61)
 	days := eventsByDay(s)
@@ -468,6 +474,10 @@ func TestRestartFromCheckpointReplaysExactlyOnce(t *testing.T) {
 				if len(st.buf) != 0 {
 					t.Fatalf("shard %d replay buffer holds %d entries after checkpoint", i, len(st.buf))
 				}
+			}
+			b, err := os.ReadFile(pool.ckptPath(0))
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); err != nil || got != shard0CkptSHA256 {
+				t.Fatalf("shard checkpoint bytes changed: sha256 %s (len %d, err %v), want %s", got, len(b), err, shard0CkptSHA256)
 			}
 		}
 	}

@@ -5,11 +5,11 @@ package stream
 // continue the alert feed byte-identically: the window's per-day
 // pipeline aggregates, the warm-start embedding state of the last
 // successful remodel, the alerted-domain set, and a configuration
-// fingerprint. The stream is one gob body framed by a magic header and
-// a CRC-32 trailer (internal/crcio); WriteCheckpoint commits it
-// atomically (temp file + fsync + rename) through the injectable
-// filesystem seam of internal/faultio, so a crash — or an injected
-// fault — at any step leaves the previous checkpoint intact.
+// fingerprint. The stream is one gob payload sealed and committed by
+// internal/crcio (magic, CRC-32 trailer, temp file + fsync + rename
+// through the injectable filesystem seam of internal/faultio), so a
+// crash — or an injected fault — at any step leaves the previous
+// checkpoint intact.
 //
 // Days beyond the checkpoint cursor are deliberately not serialized:
 // a boundary checkpoint captures completed days only, and the caller
@@ -18,13 +18,9 @@ package stream
 // caller-side filtering.
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -158,23 +154,12 @@ func (r *Rolling) Checkpoint(w io.Writer, cur Cursor) error {
 		}
 	}
 
-	cw := crcio.NewWriter(w)
-	if _, err := io.WriteString(cw, checkpointMagic); err != nil {
-		return fmt.Errorf("stream: writing checkpoint header: %w", err)
-	}
-	if err := gob.NewEncoder(cw).Encode(wire); err != nil {
-		return fmt.Errorf("stream: encoding checkpoint: %w", err)
-	}
-	if err := cw.WriteTrailer(); err != nil {
-		return fmt.Errorf("stream: sealing checkpoint: %w", err)
-	}
-	return nil
+	return crcio.SealGob(w, checkpointMagic, wire)
 }
 
-// WriteCheckpoint atomically replaces path with a fresh checkpoint:
-// the stream is written to a temp file in the same directory, fsynced,
-// closed, and renamed over path. On any failure the temp file is
-// removed and the previous checkpoint at path is untouched.
+// WriteCheckpoint atomically replaces path with a fresh checkpoint
+// (crcio.Commit): on any failure the previous checkpoint at path is
+// untouched and no temp file is left behind.
 func (r *Rolling) WriteCheckpoint(path string, cur Cursor) error {
 	return r.writeCheckpoint(faultio.OS, path, cur)
 }
@@ -183,7 +168,9 @@ func (r *Rolling) WriteCheckpoint(path string, cur Cursor) error {
 // seam the fault-injection tests drive.
 func (r *Rolling) writeCheckpoint(fs faultio.FS, path string, cur Cursor) error {
 	start := time.Now() //maldlint:ignore detpath write latency metric only, never checkpoint contents
-	n, err := r.checkpointTo(fs, path, cur)
+	n, err := crcio.Commit(fs, path, ".ckpt-*", func(w io.Writer) error {
+		return r.Checkpoint(w, cur)
+	})
 	if m := r.cfg.Metrics; m != nil {
 		result := "ok"
 		if err != nil {
@@ -204,55 +191,6 @@ func (r *Rolling) writeCheckpoint(fs faultio.FS, path string, cur Cursor) error 
 	return err
 }
 
-// checkpointTo performs the atomic write sequence, returning the
-// checkpoint size on success.
-func (r *Rolling) checkpointTo(fs faultio.FS, path string, cur Cursor) (int64, error) {
-	f, err := fs.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return 0, fmt.Errorf("stream: creating checkpoint temp file: %w", err)
-	}
-	tmp := f.Name()
-	// Best-effort cleanup on failure; the write error is the one worth
-	// reporting.
-	fail := func(step string, err error) (int64, error) {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return 0, fmt.Errorf("stream: %s checkpoint %s: %w", step, tmp, err)
-	}
-	cw := &countingWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	if err := r.Checkpoint(cw, cur); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return 0, err
-	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		return fail("flushing", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail("syncing", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return 0, fmt.Errorf("stream: closing checkpoint %s: %w", tmp, err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		_ = fs.Remove(tmp)
-		return 0, fmt.Errorf("stream: committing checkpoint %s: %w", path, err)
-	}
-	return cw.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // Restore reads a checkpoint written by Checkpoint and returns a
 // Rolling detector ready to continue from it, plus the cursor recorded
 // at checkpoint time. cfg must be the same configuration the
@@ -268,20 +206,27 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // byte-identical to an uninterrupted run.
 func Restore(rd io.Reader, cfg Config) (*Rolling, Cursor, error) {
 	r, cur, err := restore(rd, cfg)
-	if m := cfg.Metrics; m != nil {
-		result := "ok"
-		switch {
-		case errors.Is(err, ErrFingerprintMismatch):
-			result = "fingerprint"
-		case errors.Is(err, ErrCorruptCheckpoint):
-			result = "corrupt"
-		case err != nil:
-			result = "error"
-		}
-		m.CounterVec("maldomain_restores_total",
-			"Checkpoint restore attempts by result.", "result").With(result).Inc()
-	}
+	countRestore(cfg, err)
 	return r, cur, err
+}
+
+// countRestore records one restore attempt's outcome.
+func countRestore(cfg Config, err error) {
+	m := cfg.Metrics
+	if m == nil {
+		return
+	}
+	result := "ok"
+	switch {
+	case errors.Is(err, ErrFingerprintMismatch):
+		result = "fingerprint"
+	case errors.Is(err, ErrCorruptCheckpoint):
+		result = "corrupt"
+	case err != nil:
+		result = "error"
+	}
+	m.CounterVec("maldomain_restores_total",
+		"Checkpoint restore attempts by result.", "result").With(result).Inc()
 }
 
 func restore(rd io.Reader, cfg Config) (*Rolling, Cursor, error) {
@@ -289,20 +234,9 @@ func restore(rd io.Reader, cfg Config) (*Rolling, Cursor, error) {
 	if err != nil {
 		return nil, Cursor{}, err
 	}
-	cr := crcio.NewReader(rd)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, Cursor{}, fmt.Errorf("%w: reading magic: %v", ErrCorruptCheckpoint, err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, Cursor{}, fmt.Errorf("%w: not a checkpoint stream", ErrCorruptCheckpoint)
-	}
 	var wire checkpointWire
-	if err := gob.NewDecoder(cr).Decode(&wire); err != nil {
-		return nil, Cursor{}, fmt.Errorf("%w: decoding: %v", ErrCorruptCheckpoint, err)
-	}
-	if err := cr.VerifyTrailer(); err != nil {
-		return nil, Cursor{}, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
+	if err := crcio.OpenGob(rd, checkpointMagic, &wire); err != nil {
+		return nil, Cursor{}, fmt.Errorf("%w: %w", ErrCorruptCheckpoint, err)
 	}
 	if wire.Version != checkpointVersion {
 		return nil, Cursor{}, fmt.Errorf("stream: checkpoint version %d, this build reads %d",
@@ -402,19 +336,16 @@ func (r *Rolling) restoreWarmState(wire checkpointWire) error {
 // as-is (os.IsNotExist-compatible) so callers can treat it as a cold
 // start.
 func RestoreFile(path string, cfg Config) (*Rolling, Cursor, error) {
-	f, err := os.Open(path)
+	var cur Cursor
+	r, err := crcio.ReadFile(path, func(rd io.Reader) (r *Rolling, err error) {
+		r, cur, err = restore(rd, cfg)
+		return r, err
+	})
+	countRestore(cfg, err)
 	if err != nil {
-		if m := cfg.Metrics; m != nil {
-			m.CounterVec("maldomain_restores_total",
-				"Checkpoint restore attempts by result.", "result").With("error").Inc()
-		}
 		return nil, Cursor{}, err
 	}
-	r, cur, rerr := Restore(bufio.NewReaderSize(f, 1<<20), cfg)
-	if cerr := f.Close(); rerr == nil && cerr != nil {
-		return nil, Cursor{}, cerr
-	}
-	return r, cur, rerr
+	return r, cur, nil
 }
 
 // ConsumedThrough reports the last day boundary a restored checkpoint

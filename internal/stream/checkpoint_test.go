@@ -2,7 +2,7 @@ package stream
 
 import (
 	"bytes"
-	"encoding/gob"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -80,6 +80,18 @@ func checkpointBytes(t testing.TB, r *Rolling, cur Cursor) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// checkpointSHA256 pins the on-disk format to the byte, as golden_test.go
+// pins the model's: recorded at the commit before internal/crcio took
+// over framing (PR 16).
+const checkpointSHA256 = "e57e3512da170ceaec55b1b054d3eedfc665fa9e857f960be3a2cdafa6712146"
+
+func TestCheckpointBytesPinned(t *testing.T) {
+	b := checkpointBytes(t, tinyRolling(t), Cursor{Day: 1, FeedBytes: 7})
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != checkpointSHA256 {
+		t.Fatalf("checkpoint bytes changed: sha256 %s (len %d), want %s", got, len(b), checkpointSHA256)
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -208,15 +220,8 @@ func TestRestoreRejectsUnknownVersion(t *testing.T) {
 	// A well-formed, correctly checksummed stream from a future version
 	// must be refused with a version message, not misread.
 	var buf bytes.Buffer
-	cw := crcio.NewWriter(&buf)
-	if _, err := io.WriteString(cw, checkpointMagic); err != nil {
-		t.Fatal(err)
-	}
 	wire := checkpointWire{Version: checkpointVersion + 1, Fingerprint: "future"}
-	if err := gob.NewEncoder(cw).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteTrailer(); err != nil {
+	if err := crcio.SealGob(&buf, checkpointMagic, wire); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := Restore(bytes.NewReader(buf.Bytes()), tinyConfig())
@@ -254,6 +259,10 @@ func TestRestoreRejectsInconsistentWire(t *testing.T) {
 		{"day past cursor", func(w *checkpointWire) { w.Days[1].Day = 5 }},
 		{"duplicate day", func(w *checkpointWire) { w.Days[1].Day = w.Days[0].Day }},
 		{"corrupt day snapshot", func(w *checkpointWire) { w.Days[0].Snap.Days = 0 }},
+		// The two set invariants Consume's skipped inserts rely on.
+		{"host outside the device set", func(w *checkpointWire) { w.Days[0].Snap.Devices = w.Days[0].Snap.Devices[1:] }},
+		{"one-bucket domain missing from its bucket", func(w *checkpointWire) { w.Days[0].Snap.Buckets[0].E2LDs = nil }},
+		{"one-bucket FQDN missing from its bucket", func(w *checkpointWire) { w.Days[0].Snap.Buckets[0].FQDNs = w.Days[0].Snap.Buckets[0].FQDNs[1:] }},
 		{"warm emb without index", func(w *checkpointWire) { w.WarmDomains = nil }},
 		{"missing view", func(w *checkpointWire) { w.WarmEmb = w.WarmEmb[:2] }},
 		{"empty warm domain", func(w *checkpointWire) { w.WarmDomains[0] = "" }},
@@ -267,14 +276,7 @@ func TestRestoreRejectsInconsistentWire(t *testing.T) {
 			wire := base()
 			tc.mutate(&wire)
 			var buf bytes.Buffer
-			cw := crcio.NewWriter(&buf)
-			if _, err := io.WriteString(cw, checkpointMagic); err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewEncoder(cw).Encode(wire); err != nil {
-				t.Fatal(err)
-			}
-			if err := cw.WriteTrailer(); err != nil {
+			if err := crcio.SealGob(&buf, checkpointMagic, wire); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := Restore(bytes.NewReader(buf.Bytes()), tinyConfig()); !errors.Is(err, ErrCorruptCheckpoint) {

@@ -226,16 +226,6 @@ func TestHighDimensionalSparseDifference(t *testing.T) {
 	}
 }
 
-func BenchmarkTrain500(b *testing.B) {
-	X, y := blobs(500, 3, 13)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(X, y, Config{C: 1, Kernel: RBF{Gamma: 0.3}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecision(b *testing.B) {
 	X, y := blobs(500, 3, 13)
 	m, err := Train(X, y, Config{C: 1, Kernel: RBF{Gamma: 0.3}})

@@ -1,140 +1,40 @@
 #!/usr/bin/env bash
-# bench.sh — benchmark runner for the detection pipeline's hot paths.
+# bench.sh — the model-quality benchmarks the ledger has no metric for.
 #
-# full mode (default) runs the microbenchmarks for the three hot stages
-# (bipartite projection, LINE training, SVM training) with -benchmem,
-# then the root table/figure reproduction benchmarks once each, and
-# converts the combined log into BENCH_2.json via cmd/benchjson.
+# Everything that measures a path's cost lives in the ledger (`go run
+# ./bench`, BENCHMARK.json; bench/README.md maps each retired mode and
+# BENCH_*.json key to its ledger metric). What stays here measures
+# model quality or an ablation:
 #
-# short mode runs each microbenchmark for a single iteration as a smoke
-# test (wired into scripts/check.sh) and emits no JSON.
-#
-# remodel mode runs the streaming warm-vs-cold remodel benchmarks
-# (internal/stream) and converts the log into BENCH_3.json: the measured
-# value of seeding each window's LINE run from the previous window's
-# vectors instead of rebuilding from random initialization.
-#
-# serve mode runs the scoring-daemon throughput benchmarks
-# (internal/serve: single, batch, and parallel request paths through
-# the full middleware stack) and converts the log into BENCH_4.json.
-#
-# loadgen mode measures the zero-allocation serving claims end to end:
-# it runs the serve handler benchmarks with -benchmem (allocs/op,
-# req/sec, domains/sec at the handler level), then trains a small
-# model, starts a real daemon on an ephemeral port, drives it with
-# `maldetect loadgen` — closed-loop single GETs and NDJSON batches —
-# and folds the socket-level reports into the same JSON via
-# benchjson -merge, writing BENCH_7.json.
-#
-# foldin mode runs the fold-in scoring benchmarks — the core engine
-# (ScoreObserved cold, cache-warm Score) and the daemon's unknown-
-# domain path through the full middleware stack — with -benchmem and
-# converts the log into BENCH_9.json: the allocs/op column is the
-# ≤2-allocs-after-warm acceptance figure.
+# figures mode (default) runs the root table/figure reproduction
+# benchmarks once each — Fig 4/5/7, Tables 1–2, the Exposure and
+# belief-propagation baselines, self-training, and BenchmarkAblation* —
+# each reporting its headline quality metric (AUC, cluster count, ...)
+# as a custom column.
 #
 # ablation mode sweeps the pluggable stage registry's backend grid —
 # {line, mf} embedders x {svm, labelprop, ensemble} classifiers — with
 # Fig-6-style k-fold cross-validated AUC per cell (cmd/experiments
-# -ablation) and converts the log into BENCH_8.json, so backend quality
-# regressions are visible next to throughput numbers.
+# -ablation) and converts the log into BENCH_8.json.
 #
-# shard mode runs the sharded-ingestion scaling curve (internal/shard:
-# a 10x dnsgen trace pushed through a supervised pool at 1, 2, 4, and
-# 8 shards, ingest + day-boundary merge per iteration) and converts
-# the log into BENCH_10.json. On a single-core host the curve measures
-# pure supervision overhead, not speedup — see README.
-#
-# Usage: scripts/bench.sh [full|short|remodel|serve|loadgen|foldin|ablation|shard]
+# Usage: scripts/bench.sh [figures|ablation]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mode="${1:-full}"
-log="$(mktemp)"
-trap 'rm -f "$log"' EXIT
-
-micro_pkgs=(./internal/bipartite ./internal/line ./internal/svm ./internal/serve)
-
-case "$mode" in
-short)
-    go test -run='^$' -bench=. -benchtime=1x "${micro_pkgs[@]}" | tee "$log"
-    ;;
-full)
-    go test -run='^$' -bench=. -benchmem "${micro_pkgs[@]}" | tee "$log"
-    go test -run='^$' -bench=. -benchtime=1x -timeout 60m . | tee -a "$log"
-    go run ./cmd/benchjson <"$log" >BENCH_2.json
-    echo "wrote BENCH_2.json"
-    ;;
-remodel)
-    go test -run='^$' -bench='^BenchmarkRemodel' -timeout 30m ./internal/stream | tee "$log"
-    go run ./cmd/benchjson <"$log" >BENCH_3.json
-    echo "wrote BENCH_3.json"
-    ;;
-serve)
-    go test -run='^$' -bench='^BenchmarkServe' -benchmem ./internal/serve | tee "$log"
-    go run ./cmd/benchjson <"$log" >BENCH_4.json
-    echo "wrote BENCH_4.json"
-    ;;
-loadgen)
-    workdir="$(mktemp -d)"
-    serve_pid=""
-    trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$workdir" "$log"' EXIT
-
-    echo "--- handler-level benchmarks (-benchmem)"
-    go test -run='^$' -bench='^BenchmarkServe' -benchmem ./internal/serve | tee "$log"
-
-    echo "--- training a small model for the live daemon"
-    go run ./cmd/dnsgen -scale small -seed 7 \
-        -out "$workdir/trace.tsv" -truth "$workdir/truth.tsv"
-    go build -o "$workdir/maldetect" ./cmd/maldetect
-    "$workdir/maldetect" train -seed 7 \
-        -trace "$workdir/trace.tsv" -truth "$workdir/truth.tsv" \
-        -out "$workdir/model.bin"
-
-    echo "--- maldetect loadgen against a live daemon"
-    "$workdir/maldetect" serve -model "$workdir/model.bin" \
-        -addr 127.0.0.1:0 2>"$workdir/serve.log" &
-    serve_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's|.*serving on http://\([^ ]*\)$|\1|p' "$workdir/serve.log")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "daemon did not start" >&2; cat "$workdir/serve.log" >&2; exit 1; }
-    "$workdir/maldetect" loadgen -url "http://$addr" -model "$workdir/model.bin" \
-        -duration 5s -workers 4 -retries 2 -check -json \
-        -name BenchmarkLoadgenScore >"$workdir/lg_single.json"
-    "$workdir/maldetect" loadgen -url "http://$addr" -model "$workdir/model.bin" \
-        -duration 5s -workers 2 -batch 500 -ndjson -retries 2 -check -json \
-        -name BenchmarkLoadgenBatchNDJSON >"$workdir/lg_batch.json"
-    kill -TERM "$serve_pid" && wait "$serve_pid"
-    serve_pid=""
-
-    go run ./cmd/benchjson \
-        -merge "$workdir/lg_single.json" -merge "$workdir/lg_batch.json" \
-        <"$log" >BENCH_7.json
-    echo "wrote BENCH_7.json"
-    ;;
-foldin)
-    go test -run='^$' -bench='^BenchmarkFoldIn' -benchmem ./internal/core | tee "$log"
-    go test -run='^$' -bench='^BenchmarkServeFoldin' -benchmem ./internal/serve | tee -a "$log"
-    go run ./cmd/benchjson <"$log" >BENCH_9.json
-    echo "wrote BENCH_9.json"
+case "${1:-figures}" in
+figures)
+    go test -run='^$' -bench=. -benchtime=1x -timeout 60m .
     ;;
 ablation)
+    log="$(mktemp)"
+    trap 'rm -f "$log"' EXIT
     go run ./cmd/experiments -ablation -scale small -seed 1 -kfolds 5 | tee "$log"
     go run ./cmd/benchjson <"$log" >BENCH_8.json
     echo "wrote BENCH_8.json"
     ;;
-shard)
-    go test -run='^$' -bench='^BenchmarkShardIngest' -benchmem -timeout 30m \
-        ./internal/shard | tee "$log"
-    go run ./cmd/benchjson <"$log" >BENCH_10.json
-    echo "wrote BENCH_10.json"
-    ;;
 *)
-    echo "usage: scripts/bench.sh [full|short|remodel|serve|loadgen|foldin|ablation|shard]" >&2
+    echo "usage: scripts/bench.sh [figures|ablation]" >&2
     exit 1
     ;;
 esac

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the tier-1+ correctness gate for this repository.
 #
-# Runs, in order: formatting, go vet, build, the maldlint static
-# analyzer (against the committed baseline, plus a -json schema smoke),
-# the escape-analysis gate for the scoring, ingest and SGD hot paths
-# (scripts/alloccheck.sh against its committed baseline), the full
+# Runs, in order: formatting, go vet, build, the sealed-file gate, the
+# maldlint static analyzer (against the committed baseline, plus a -json
+# schema smoke), the escape-analysis gate for the scoring, ingest and SGD
+# hot paths (scripts/alloccheck.sh against its committed baseline), the full
 # test suite under the race detector, a train/score persistence round
 # trip on a tiny generated trace, a serving-daemon smoke
 # (score/batch/404/healthz/metrics over HTTP, an observe→score fold-in
@@ -12,9 +12,9 @@
 # complete error-free, SIGHUP hot reload, graceful SIGTERM
 # shutdown), a crash-recovery smoke (streaming run SIGKILLed
 # mid-window, resumed from its checkpoint, feed compared byte-for-byte
-# against an uninterrupted run), and a short fuzz smoke for each
-# native fuzz target. Every step must pass; the script stops at the
-# first failure.
+# against an uninterrupted run), the ledger's quick smoke, and a short
+# fuzz smoke for each native fuzz target. Every step must pass; the
+# script stops at the first failure.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target -fuzztime for the smoke stage (default 10s;
@@ -38,6 +38,12 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> sealed-file gate (framing and commit live in internal/crcio only)"
+if grep -rnE '(CreateTemp|\.Rename|crcio\.New(Writer|Reader))\(' --include='*.go' . |
+    grep -vE '_test\.go:|/testdata/|^\./internal/(crcio|faultio)/'; then
+    echo "temp-file commits and CRC framing must go through internal/crcio" >&2 && exit 1
+fi
 
 echo "==> maldlint ./... (baseline: .maldlint-baseline.json)"
 go run ./cmd/maldlint -baseline .maldlint-baseline.json ./...
@@ -210,8 +216,9 @@ go test -race -run Chaos ./internal/shard
     -feed "$smokedir/shard-alerts.tsv" 2>"$smokedir/shard-stream.log"
 cmp "$smokedir/ref-alerts.tsv" "$smokedir/shard-alerts.tsv"
 
-echo "==> benchmark smoke (scripts/bench.sh short)"
-scripts/bench.sh short
+echo "==> benchmark smoke (ledger quick run)"
+# Skipped under -race, so the race stage above does not cover it.
+go test -run '^TestQuickSmoke$' ./bench
 
 if [ "$fuzztime" != "0" ]; then
     echo "==> fuzz smoke (${fuzztime} per target)"
@@ -219,6 +226,7 @@ if [ "$fuzztime" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzParseETLD$' -fuzztime="$fuzztime" ./internal/etld
     go test -run='^$' -fuzz='^FuzzParseLogLine$' -fuzztime="$fuzztime" ./internal/pipeline
     go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime="$fuzztime" ./internal/stream
+    go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime="$fuzztime" ./internal/crcio
     go test -run='^$' -fuzz='^FuzzDecodeNDJSON$' -fuzztime="$fuzztime" ./internal/serve
     go test -run='^$' -fuzz='^FuzzStepKernel$' -fuzztime="$fuzztime" ./internal/line
 fi
