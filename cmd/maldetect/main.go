@@ -7,7 +7,7 @@
 //	maldetect train -trace trace.tsv -truth truth.tsv -out model.bin [-dhcp leases.tsv] [-seed N]
 //	maldetect score -model model.bin [-top 25] [domain ...]
 //	maldetect serve -model model.bin [-addr 127.0.0.1:8953] [-max-inflight 256] [-timeout 5s] [-drain 10s] [-max-batch 10000] [-max-body N] [-foldin-cap N] [-foldin-ttl 15m] [-pprof]
-//	maldetect stream -trace trace.tsv -truth truth.tsv [-window 2] [-dim 16] [-feed alerts.tsv] [-checkpoint stream.ckpt] [-shards N] [-shard-dir DIR]
+//	maldetect stream -trace trace.tsv -truth truth.tsv [-window 2] [-dim 16] [-feed alerts.tsv] [-checkpoint stream.ckpt] [-shards N]
 //	maldetect loadgen -url http://127.0.0.1:8953 (-model model.bin | -domains file) [-duration 10s | -n N] [-workers 8] [-qps 0] [-batch 0] [-ndjson] [-json] [-check]
 //
 // The default (no subcommand) mode builds the model, trains the SVM on a
@@ -53,12 +53,12 @@
 // feed file. With -checkpoint, a checkpoint is written atomically after
 // every day boundary and a restart resumes from it, reproducing the
 // feed byte-identically (see stream.go). With -shards N (N > 1),
-// ingestion runs through the fault-tolerant shard pool
-// (internal/shard): the trace is partitioned by device across N
-// supervised workers, crashes and hangs are retried with backoff, and
-// the merged output — feed and checkpoint alike — stays byte-identical
-// to a serial run; quarantined shards degrade the affected days and
-// are logged, never fatal.
+// ingestion runs through the shard pool (internal/shard): the trace is
+// partitioned by device across N goroutines whose per-day aggregates
+// are merged at each day boundary, and the output — feed and
+// checkpoint alike — stays byte-identical to a serial run. A panic in
+// one of those goroutines is fatal before that day's checkpoint is
+// written; a restart resumes from the previous one like any crash.
 package main
 
 import (

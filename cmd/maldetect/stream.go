@@ -107,9 +107,7 @@ func runStream(args []string) error {
 		feedPath  = fs.String("feed", "alerts.tsv", "alert feed output (TSV: day, domain, score)")
 		ckptPath  = fs.String("checkpoint", "", "checkpoint file: written after every day boundary, resumed from on start")
 		shards    = fs.Int("shards", 1,
-			"ingestion shard workers (>1 partitions the trace by device through a supervised pool; output is identical for any value)")
-		shardDir = fs.String("shard-dir", "",
-			"scratch directory for per-shard mid-day checkpoints (optional, bounds crash replay; requires -shards > 1)")
+			"ingestion goroutines (>1 partitions the trace by device and merges per day; output is identical for any value)")
 		intelFrac = fs.Float64("intel-frac", 0.5,
 			"fraction of malicious truth labels known to the labeler (simulates lagging intel; the rest can surface as alerts)")
 	)
@@ -132,14 +130,10 @@ func runStream(args []string) error {
 		return err
 	}
 
-	if *shardDir != "" && *shards <= 1 {
-		return fmt.Errorf("-shard-dir requires -shards > 1")
-	}
 	cfg := stream.Config{
 		Start:      start,
 		WindowDays: *window,
 		Shards:     *shards,
-		ShardDir:   *shardDir,
 		Detector: core.Config{
 			Seed:         *seed,
 			EmbedDim:     *dim,
@@ -231,12 +225,6 @@ func runStream(args []string) error {
 			}
 			degradedDays++
 			fmt.Fprintf(os.Stderr, "maldetect: %v (continuing)\n", de)
-		}
-		if deg := r.ShardDegraded(); deg != nil {
-			// Quarantined ingestion shards: the day's model covers only
-			// the healthy partitions. Logged per day so operators see
-			// exactly which partitions and how much traffic went missing.
-			fmt.Fprintf(os.Stderr, "maldetect: %v (continuing)\n", deg)
 		}
 		for _, a := range alerts {
 			if _, err := fmt.Fprintf(w, "%d\t%s\t%s\n",

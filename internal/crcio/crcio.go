@@ -1,6 +1,6 @@
 // Package crcio is the sealed-file layer: the one place that decides how
-// a persisted artefact (model file, stream checkpoint, shard checkpoint)
-// is framed and how it reaches disk.
+// a persisted artefact (model file, stream checkpoint) is framed and how
+// it reaches disk.
 //
 // Framing (Seal/Open, SealGob/OpenGob): an optional raw magic, a body,
 // and a CRC-32 (IEEE) trailer over both, so truncation and bit-rot are

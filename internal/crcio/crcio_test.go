@@ -124,10 +124,10 @@ func TestNonByteReaderSource(t *testing.T) {
 	}
 }
 
-// The three sealed-file layouts in production, in miniature: the stream
-// and shard checkpoints are a raw magic plus one gob payload; the model
-// has no raw magic, stacks gob sections, and only its version 1 may lack
-// the trailer.
+// The sealed-file layouts in miniature: the stream checkpoint is a raw
+// magic plus one gob payload ("shard" is the same form under a second
+// magic, the retired per-shard checkpoint's); the model has no raw magic,
+// stacks gob sections, and only its version 1 may lack the trailer.
 type ckptPayload struct {
 	Version int
 	Days    []int

@@ -44,7 +44,7 @@ func BenchmarkShardIngest(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool, err := New(Config{Shards: n, Start: s.Config.Start, DHCP: s.DHCP(), Seed: 7})
+				pool, err := New(Config{Shards: n, Start: s.Config.Start, DHCP: s.DHCP()})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,99 +1,52 @@
-// Package shard partitions streaming ingestion across a pool of
-// supervised workers so one process can aggregate ISP-sized traces
-// without giving up the serial build's determinism or its crash safety.
+// Package shard aggregates a day's observations on more than one
+// goroutine: a plain fold.
 //
-// A Pool routes each pipeline.Input to one of N shard workers by the
-// FNV-1a hash of its device identity (the DHCP-pinned MAC when a lease
-// covers the query, else the raw client IP, else the query name).
-// Every worker aggregates its partition into its own per-day
-// pipeline.Processor — the same per-day layout the serial streaming
-// mode keeps — and at each day boundary CloseDay collects the shards'
-// day aggregates and merges them with pipeline.Merge. Because every
-// fold in the merge is commutative and associative (set unions, count
-// sums, min/max), the merged aggregate is byte-identical to the serial
-// build for any shard count, worker schedule, or crash/restart
-// interleaving: the only thing sharding changes is which processor an
-// observation lands in first.
+// A Pool routes each pipeline.Input to one of N workers by the FNV-1a
+// hash of its device identity (the DHCP-pinned MAC when a lease covers
+// the query, else the raw client IP, else the query name). Every worker
+// aggregates its partition into its own per-day pipeline.Processor —
+// configured exactly as the serial streaming mode configures its own —
+// and at each day boundary CloseDay collects the workers' day
+// aggregates and folds them with pipeline.Merge. Because every step of
+// the merge is commutative and associative (set unions, count sums,
+// min/max), the merged aggregate is byte-identical to the serial build
+// for any shard count and any goroutine schedule: the only thing
+// sharding changes is which processor an observation lands in first.
 //
-// Robustness is the point of the supervisor. Each request to a worker
-// carries a deadline; a worker that crashes (panic) or hangs past the
-// watchdog is abandoned and restarted with bounded exponential backoff
-// and jitter. A restarted worker rebuilds its exact state from its
-// per-shard checkpoint (written through the crcio/faultio atomic-write
-// path CloseDay reuses) plus a replay of the supervisor's in-memory
-// buffer of inputs routed since that checkpoint — exactly-once
-// accounting rides on a per-shard (day floor, sequence number) cursor,
-// so no observation is dropped or double-counted across any number of
-// restarts. A shard that exhausts its retries is quarantined with a
-// typed *ShardError; the merge proceeds over the healthy shards and
-// CloseDay reports the missing partitions in a *Degraded report
-// instead of failing the day.
+// The pool keeps no raw observation beyond the batch being filled and
+// the few in flight to each worker, and it recovers from nothing. A
+// worker that panics is reported by the next CloseDay and the pool is
+// finished; the caller fails the day, and a restarted process resumes
+// from the stream checkpoint (internal/stream), which never contained
+// the pool's open days in the first place.
 package shard
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"runtime/debug"
 	"sort"
-	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/dhcp"
 	"repro/internal/etld"
-	"repro/internal/faultio"
-	"repro/internal/mathx"
 	"repro/internal/obsv"
 	"repro/internal/pipeline"
 )
 
-// errHung is the watchdog's verdict on a worker that neither accepted a
-// request nor replied within the deadline.
-var errHung = errors.New("shard: worker deadline exceeded")
-
-// ShardError reports a shard that exhausted its restart budget and was
-// quarantined. It unwraps to the last failure cause, so errors.Is can
-// see through to an injected fault or the watchdog's errHung.
-type ShardError struct {
-	// Shard is the quarantined partition's index.
-	Shard int
-	// Attempts is how many restarts were tried before giving up.
-	Attempts int
-	// Err is the last failure cause.
-	Err error
-}
-
-// Error implements error.
-func (e *ShardError) Error() string {
-	return fmt.Sprintf("shard %d quarantined after %d restart attempts: %v", e.Shard, e.Attempts, e.Err)
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *ShardError) Unwrap() error { return e.Err }
-
-// Degraded reports a day boundary that merged fewer partitions than the
-// pool owns: one or more shards were quarantined, and their traffic
-// since the last handed-off day is missing from the merged aggregate.
-// The pool stays healthy — merges keep proceeding over the remaining
-// shards — but the caller should surface the gap.
-type Degraded struct {
-	// Day is the boundary whose merge was degraded.
-	Day int
-	// Missing lists the quarantined shard indices, ascending.
-	Missing []int
-	// Dropped counts observations lost to the quarantined shards:
-	// inputs routed to them since their last durable state plus inputs
-	// dropped at the door after quarantine.
-	Dropped int
-	// Errors holds each missing shard's quarantine cause, aligned with
-	// Missing.
-	Errors []*ShardError
-}
-
-// String renders the report for logs.
-func (d *Degraded) String() string {
-	return fmt.Sprintf("day %d degraded: missing shards %v (%d observations lost)", d.Day, d.Missing, d.Dropped)
-}
+const (
+	// batchSize is how many inputs cross to a worker per channel send:
+	// large enough that the hand-off cost disappears against 256
+	// Processor.Consume calls, small enough that a batch is ~26 KB.
+	batchSize = 256
+	// queueDepth is each worker's channel capacity in batches. A few
+	// batches of slack let the producer keep parsing while a worker is
+	// inside a slow Consume; together with the batch being filled and the
+	// one being folded it bounds the raw observations held per shard at
+	// (queueDepth+2)·batchSize.
+	queueDepth = 4
+)
 
 // Config parameterizes a Pool.
 type Config struct {
@@ -107,197 +60,118 @@ type Config struct {
 	DHCP *dhcp.Resolver
 	// Suffixes is the public-suffix table (nil uses the default).
 	Suffixes *etld.Table
-	// Dir, when non-empty, holds one checkpoint file per shard
-	// (shard-NNN.ckpt), written after every CloseDay; a restarted
-	// worker then replays only the inputs since its checkpoint instead
-	// of the whole day. Empty keeps recovery purely replay-based. The
-	// directory is pool-owned scratch: stale files in it are removed at
-	// New.
-	Dir string
-	// FS is the filesystem checkpoints are written through (nil = the
-	// real one); tests inject faults here.
-	FS faultio.FS
-	// Deadline is the watchdog budget for one worker request (accept or
-	// reply); past it the worker is declared hung and restarted.
-	// Default 30s.
-	Deadline time.Duration
-	// MaxRetries caps consecutive failed restart attempts per shard
-	// before quarantine. Default 3.
-	MaxRetries int
-	// Backoff is the base restart backoff, doubled per consecutive
-	// attempt and jittered uniformly into [d/2, d). Default 10ms.
-	Backoff time.Duration
-	// MaxBackoff caps the un-jittered backoff. Default 1s.
-	MaxBackoff time.Duration
-	// BatchSize is how many inputs are handed to a worker per request.
-	// Default 256.
-	BatchSize int
-	// Seed drives the backoff jitter streams. Default 1.
-	Seed uint64
-	// Metrics, when set, receives maldomain_shard_restarts{shard},
-	// maldomain_shard_quarantined, maldomain_shard_merge_seconds, and
-	// maldomain_shard_lag_days.
+	// Metrics, when set, receives maldomain_shard_merge_seconds.
 	Metrics *obsv.Registry
+	// Seed is ignored.
+	//
+	// Deprecated: named by bench/ingest.go; remove with the next benchmark PR.
+	Seed uint64
 
-	// sleep replaces time.Sleep between restart attempts; tests stub it
-	// to observe backoff without waiting.
-	sleep func(time.Duration)
 	// consumeHook, when set, runs inside the worker before each input
-	// is folded in; chaos tests use it to inject panics and hangs.
+	// is folded in; the failure test uses it to inject a panic.
 	consumeHook func(shard int, in pipeline.Input)
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Shards < 1 {
-		return c, fmt.Errorf("shard: Config.Shards = %d, need >= 1", c.Shards)
-	}
-	if c.Start.IsZero() {
-		return c, errors.New("shard: Config.Start is required")
-	}
-	if c.FS == nil {
-		c.FS = faultio.OS
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 30 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.sleep == nil {
-		c.sleep = time.Sleep
-	}
-	return c, nil
+// Degraded is the report CloseDay used to return for a merge that was
+// missing quarantined shards. CloseDay now always returns it nil: a
+// failed worker fails the day.
+//
+// Deprecated: named by bench/ingest.go; remove with the next benchmark PR.
+type Degraded struct {
+	Dropped int
 }
 
-// seqInput is one routed observation tagged with its per-shard sequence
-// number, the unit of the replay buffer and the exactly-once cursor.
-type seqInput struct {
-	seq uint64
-	in  pipeline.Input
-}
-
-// shardState is the supervisor's book-keeping for one partition.
-type shardState struct {
-	id int
-	w  *worker
-
-	// pending is the batch being assembled; buf is the replay buffer of
-	// every input sent since the last trim (checkpoint or day handoff).
-	pending []seqInput
-	buf     []seqInput
-
-	// seq numbers routed inputs; ckptSeq and ckptDay locate the last
-	// durable checkpoint (0 / -1 when none).
-	seq     uint64
-	ckptSeq uint64
-	ckptDay int
-
-	// handed is the last day this shard handed off to a merge; a
-	// restarted worker is floored here so an already-merged day can
-	// never be re-counted, even when the restart interleaves with a
-	// boundary (handoff done, pool-wide close still in progress).
-	handed int
-
-	// restarts counts consecutive failed revival attempts; it resets on
-	// a successful day handoff.
-	restarts int
-
-	quarantined bool
-	reason      *ShardError
-	dropped     int
-
-	rng *mathx.RNG
-}
-
-// Pool is the shard supervisor. Feed observations with Consume and
+// Pool is the sharded aggregator. Feed observations with Consume and
 // close each day boundary in order with CloseDay; both must be called
 // from one goroutine (the pool parallelizes internally). Call Close
 // when done to release the workers.
 type Pool struct {
 	cfg       Config
-	fp        string
-	shards    []*shardState
+	workers   []*worker
+	wg        sync.WaitGroup
 	closedDay int
 	closed    bool
 
-	mRestarts *obsv.CounterVec
-	mQuar     *obsv.Gauge
-	mMerge    *obsv.Histogram
-	mLag      *obsv.Gauge
+	mMerge *obsv.Histogram
 }
 
-// New starts a pool of cfg.Shards workers. When cfg.Dir is set it is
-// created if missing and cleared of stale shard checkpoints: shard
-// files describe this process's replay buffers and must not outlive
-// them.
+// message is what crosses a worker's channel: a batch to fold in, or,
+// when batch is nil, the barrier that closes every day through day.
+type message struct {
+	batch []pipeline.Input
+	day   int
+}
+
+// handoff is a worker's reply to a barrier: its aggregates for every
+// open day at or before the boundary, ascending by day, or the panic
+// that stopped it.
+type handoff struct {
+	procs []*pipeline.Processor
+	err   error
+}
+
+// worker is one partition. The producer fields belong to the goroutine
+// calling Consume/CloseDay, the aggregation fields to the worker's own
+// goroutine; batches change hands only through the channels.
+type worker struct {
+	id   int
+	base pipeline.Config
+	hook func(shard int, in pipeline.Input)
+
+	// filling is the batch Consume is appending to.
+	filling []pipeline.Input
+	in      chan message
+	out     chan handoff
+	// free carries folded batches back, cleared, for reuse.
+	free chan []pipeline.Input
+
+	// days holds one aggregation processor per open day; observations for
+	// a day at or below floor (the last closed boundary) are dropped.
+	days   map[int]*pipeline.Processor
+	floor  int
+	failed error
+}
+
+// New starts a pool of cfg.Shards workers.
 func New(cfg Config) (*Pool, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("shard: Config.Shards = %d, need >= 1", cfg.Shards)
 	}
-	p := &Pool{
-		cfg: cfg,
-		fp: fmt.Sprintf("shard n=%d start=%s",
-			cfg.Shards, cfg.Start.UTC().Format(time.RFC3339Nano)),
-		closedDay: -1,
+	if cfg.Start.IsZero() {
+		return nil, errors.New("shard: Config.Start is required")
 	}
+	p := &Pool{cfg: cfg, closedDay: -1, workers: make([]*worker, cfg.Shards)}
 	if m := cfg.Metrics; m != nil {
-		p.mRestarts = m.CounterVec("maldomain_shard_restarts",
-			"Shard worker restart attempts.", "shard")
-		p.mQuar = m.Gauge("maldomain_shard_quarantined",
-			"Shards currently quarantined after exhausting restarts.")
 		p.mMerge = m.Histogram("maldomain_shard_merge_seconds",
 			"CloseDay latency: shard handoff plus aggregate merge, in seconds.")
-		p.mLag = m.Gauge("maldomain_shard_lag_days",
-			"Closed day minus the oldest healthy shard's durable day floor.")
 	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("shard: creating checkpoint dir: %w", err)
+	for i := range p.workers {
+		w := &worker{
+			id: i,
+			// Mirror the serial streaming mode exactly: same anchor, same
+			// tables, so merged shard aggregates are indistinguishable from
+			// a single processor's.
+			base:  pipeline.Config{Start: cfg.Start, DHCP: cfg.DHCP, Suffixes: cfg.Suffixes},
+			hook:  cfg.consumeHook,
+			in:    make(chan message, queueDepth), // see queueDepth
+			out:   make(chan handoff, 1),
+			free:  make(chan []pipeline.Input, queueDepth+2), // every batch a shard can own
+			days:  make(map[int]*pipeline.Processor),
+			floor: -1,
 		}
-		for i := 0; i < cfg.Shards; i++ {
-			_ = cfg.FS.Remove(p.ckptPath(i))
-		}
-	}
-	root := mathx.NewRNG(cfg.Seed).SplitLabeled("shard-backoff")
-	p.shards = make([]*shardState, cfg.Shards)
-	for i := range p.shards {
-		s := &shardState{id: i, ckptDay: -1, handed: -1, rng: root.SplitLabeled(strconv.Itoa(i))}
-		s.w = p.spawn(i, freshState(-1, 0))
-		p.shards[i] = s
+		p.workers[i] = w
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			w.run()
+		}()
 	}
 	return p, nil
 }
 
-// spawn starts a worker goroutine for shard id over the given state.
-func (p *Pool) spawn(id int, st workerState) *worker {
-	w := newWorker()
-	st.id = id
-	st.base = pipeline.Config{
-		Start:    p.cfg.Start,
-		DHCP:     p.cfg.DHCP,
-		Suffixes: p.cfg.Suffixes,
-	}
-	st.hook = p.cfg.consumeHook
-	go w.run(st)
-	return w
-}
-
 // route picks the partition for one observation: FNV-1a over the device
 // identity, falling back to the query name for device-less records. It
-// is a pure function of the input, so replay after a restart routes
+// is a pure function of the input, so a replay after a restart routes
 // identically.
 func (p *Pool) route(in pipeline.Input) int {
 	key := in.ClientIP
@@ -318,233 +192,115 @@ func (p *Pool) route(in pipeline.Input) int {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return int(h % uint64(len(p.shards)))
+	return int(h % uint64(len(p.workers)))
 }
 
-// dayOf mirrors the streaming day computation (clamping pre-start
-// observations into day 0) so shard floors and stream floors agree.
-func (p *Pool) dayOf(t time.Time) int {
-	day := int(t.Sub(p.cfg.Start) / (24 * time.Hour))
-	if day < 0 {
-		day = 0
-	}
-	return day
-}
-
-// Consume routes one observation to its shard. Observations for a
-// quarantined shard are counted as dropped and reported in the next
-// CloseDay's Degraded report.
+// Consume routes one observation to its shard.
 func (p *Pool) Consume(in pipeline.Input) {
-	s := p.shards[p.route(in)]
-	if s.quarantined {
-		s.dropped++
-		return
-	}
-	s.seq++
-	s.pending = append(s.pending, seqInput{seq: s.seq, in: in})
-	if len(s.pending) >= p.cfg.BatchSize {
-		p.flush(s)
+	w := p.workers[p.route(in)]
+	w.filling = append(w.filling, in)
+	if len(w.filling) == batchSize {
+		w.flush()
 	}
 }
 
-// flush hands the assembled batch to the shard's worker, recording it
-// in the replay buffer first so a crash mid-send loses nothing.
-func (p *Pool) flush(s *shardState) {
-	if s.quarantined || len(s.pending) == 0 {
+// flush hands the batch being filled to the worker and picks up a
+// recycled one to fill next.
+func (w *worker) flush() {
+	if len(w.filling) == 0 {
 		return
 	}
-	batch := s.pending
-	s.pending = nil
-	s.buf = append(s.buf, batch...)
-	if err := p.trySend(s.w, request{batch: batch}); err != nil {
-		// The replay buffer already covers the batch; revive rebuilds
-		// the worker from checkpoint + replay.
-		p.revive(s, err)
-	}
-}
-
-// trySend delivers one request under the watchdog deadline.
-func (p *Pool) trySend(w *worker, req request) error {
+	w.in <- message{batch: w.filling}
 	select {
-	case w.in <- req:
-		return nil
+	case w.filling = <-w.free:
 	default:
-	}
-	timer := time.NewTimer(p.cfg.Deadline)
-	defer timer.Stop()
-	select {
-	case w.in <- req:
-		return nil
-	case err := <-w.done:
-		return err
-	case <-timer.C:
-		return errHung
+		w.filling = make([]pipeline.Input, 0, batchSize)
 	}
 }
 
-// closeShard runs the day-handoff barrier on one worker.
-func (p *Pool) closeShard(s *shardState, day int) (closeReply, error) {
-	req := request{close: &closeReq{day: day, reply: make(chan closeReply, 1)}}
-	if err := p.trySend(s.w, req); err != nil {
-		return closeReply{}, err
-	}
-	timer := time.NewTimer(p.cfg.Deadline)
-	defer timer.Stop()
-	select {
-	case rep := <-req.close.reply:
-		return rep, nil
-	case err := <-s.w.done:
-		return closeReply{}, err
-	case <-timer.C:
-		return closeReply{}, errHung
-	}
-}
-
-// snapshotShard runs the checkpoint barrier on one worker.
-func (p *Pool) snapshotShard(s *shardState) (ckptReply, error) {
-	req := request{ckpt: &ckptReq{reply: make(chan ckptReply, 1)}}
-	if err := p.trySend(s.w, req); err != nil {
-		return ckptReply{}, err
-	}
-	timer := time.NewTimer(p.cfg.Deadline)
-	defer timer.Stop()
-	select {
-	case rep := <-req.ckpt.reply:
-		return rep, nil
-	case err := <-s.w.done:
-		return ckptReply{}, err
-	case <-timer.C:
-		return ckptReply{}, errHung
-	}
-}
-
-// backoffFor returns the jittered restart delay for the shard's current
-// attempt count: base << (attempt-1), capped, then drawn uniformly from
-// [d/2, d) so a burst of shard failures does not restart in lockstep.
-func (p *Pool) backoffFor(s *shardState) time.Duration {
-	shift := s.restarts - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := p.cfg.Backoff << uint(shift)
-	if d > p.cfg.MaxBackoff {
-		d = p.cfg.MaxBackoff
-	}
-	half := d / 2
-	return half + time.Duration(s.rng.Float64()*float64(half))
-}
-
-// revive abandons the shard's current worker and restarts it from its
-// durable state: checkpoint (when one exists) plus a replay of every
-// buffered input after it. Attempts beyond the retry budget quarantine
-// the shard.
-func (p *Pool) revive(s *shardState, cause error) {
-	close(s.w.in) // sole sender; a live-but-slow worker drains and exits
-	s.w = nil
-	for {
-		s.restarts++
-		if p.mRestarts != nil {
-			p.mRestarts.With(strconv.Itoa(s.id)).Inc()
-		}
-		if s.restarts > p.cfg.MaxRetries {
-			p.quarantine(s, cause)
-			return
-		}
-		p.cfg.sleep(p.backoffFor(s))
-		st, err := p.restoreState(s)
-		if err != nil {
-			cause = err
+// run folds batches and answers barriers until the pool closes the
+// channel. After a panic the worker keeps draining — discarding
+// batches, answering barriers with the error — so the producer can
+// never block on it.
+func (w *worker) run() {
+	for m := range w.in {
+		if m.batch == nil {
+			w.out <- w.closeThrough(m.day)
 			continue
 		}
-		w := p.spawn(s.id, st)
-		if err := p.replay(s, w); err != nil {
-			close(w.in)
-			cause = err
+		if w.failed == nil {
+			w.failed = w.consume(m.batch)
+		}
+		clear(m.batch) // a recycled batch must not pin the strings it carried
+		select {
+		case w.free <- m.batch[:0]:
+		default:
+		}
+	}
+}
+
+// consume folds a batch into the per-day aggregates. A panic below it —
+// in Processor.Consume or the injected hook — is returned as an error
+// carrying the panicking stack instead of crashing the process.
+func (w *worker) consume(batch []pipeline.Input) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("shard %d: worker panic: %v\n%s", w.id, r, debug.Stack())
+		}
+	}()
+	for _, in := range batch {
+		day := int(in.Time.Sub(w.base.Start) / (24 * time.Hour))
+		if day < 0 {
+			day = 0
+		}
+		if day <= w.floor {
 			continue
 		}
-		s.w = w
-		return
-	}
-}
-
-// restoreState rebuilds a worker's starting state from the shard's
-// checkpoint file. Without a checkpoint directory — or before the first
-// successful checkpoint — recovery is purely replay-based: a fresh
-// state floored at the last handed-off day, with the full replay buffer
-// re-delivering everything since.
-func (p *Pool) restoreState(s *shardState) (workerState, error) {
-	if p.cfg.Dir == "" || s.ckptSeq == 0 {
-		return freshState(s.handed, s.ckptSeq), nil
-	}
-	st, err := p.readCheckpoint(s.id)
-	if err != nil {
-		return workerState{}, err
-	}
-	if st.seqFloor != s.ckptSeq {
-		// The file does not describe the buffer we trimmed against;
-		// replaying over it would double- or under-count.
-		return workerState{}, fmt.Errorf("shard %d: checkpoint covers seq %d, supervisor trimmed through %d: %w",
-			s.id, st.seqFloor, s.ckptSeq, ErrCorruptCheckpoint)
-	}
-	if st.dayFloor < s.handed {
-		// Days handed off after the checkpoint was taken are already in
-		// the merged output; drop their partial aggregates.
-		for d := range st.days {
-			if d <= s.handed {
-				delete(st.days, d)
-			}
+		if w.hook != nil {
+			w.hook(w.id, in)
 		}
-		st.dayFloor = s.handed
-	}
-	return st, nil
-}
-
-// replay re-delivers the shard's buffered inputs to a freshly restored
-// worker in batches.
-func (p *Pool) replay(s *shardState, w *worker) error {
-	for off := 0; off < len(s.buf); off += p.cfg.BatchSize {
-		end := off + p.cfg.BatchSize
-		if end > len(s.buf) {
-			end = len(s.buf)
+		p := w.days[day]
+		if p == nil {
+			cfg := w.base
+			cfg.Days = day + 1
+			p = pipeline.NewProcessor(cfg)
+			w.days[day] = p
 		}
-		if err := p.trySend(w, request{batch: s.buf[off:end]}); err != nil {
-			return err
-		}
+		p.Consume(in)
 	}
 	return nil
 }
 
-// quarantine retires a shard: its buffered and future inputs are
-// counted as dropped, and CloseDay reports it missing from every
-// subsequent merge.
-func (p *Pool) quarantine(s *shardState, cause error) {
-	s.quarantined = true
-	s.reason = &ShardError{Shard: s.id, Attempts: s.restarts - 1, Err: cause}
-	s.dropped += len(s.buf) + len(s.pending)
-	s.buf, s.pending = nil, nil
-	if p.mQuar != nil {
-		p.mQuar.Set(float64(p.quarantinedCount()))
+// closeThrough hands off every open day at or before day (ascending)
+// and floors the worker there.
+func (w *worker) closeThrough(day int) handoff {
+	if w.failed != nil {
+		return handoff{err: w.failed}
 	}
-}
-
-func (p *Pool) quarantinedCount() int {
-	n := 0
-	for _, s := range p.shards {
-		if s.quarantined {
-			n++
+	var open []int
+	for d := range w.days {
+		if d <= day {
+			open = append(open, d)
 		}
 	}
-	return n
+	sort.Ints(open)
+	var h handoff
+	for _, d := range open {
+		h.procs = append(h.procs, w.days[d])
+		delete(w.days, d)
+	}
+	w.floor = day
+	return h
 }
 
-// CloseDay completes a day boundary: every healthy shard hands off its
-// aggregates for days through day, the pool checkpoints and trims the
-// replay buffers, and the shard aggregates are merged into one
+// CloseDay completes a day boundary: every worker hands off its
+// aggregates for days through day and they are merged into one
 // processor — byte-identical to what a serial build would hold for the
-// same observations. A nil processor with a nil error means no healthy
-// shard saw traffic for the day. The Degraded report is non-nil when
-// any shard is quarantined; the merge still covers the healthy ones.
-// Days must close in increasing order.
+// same observations. A nil processor with a nil error means no shard
+// saw traffic for the day. Days must close in increasing order. If a
+// worker has panicked, CloseDay returns its error (shard index, panic
+// value, stack) and the pool is finished: every later CloseDay returns
+// the same error. The *Degraded result is always nil.
 func (p *Pool) CloseDay(day int) (*pipeline.Processor, *Degraded, error) {
 	if p.closed {
 		return nil, nil, errors.New("shard: pool is closed")
@@ -553,183 +309,50 @@ func (p *Pool) CloseDay(day int) (*pipeline.Processor, *Degraded, error) {
 		return nil, nil, fmt.Errorf("shard: day %d already closed (through %d)", day, p.closedDay)
 	}
 	start := time.Now() // merge latency metric only, never aggregate state
+	for _, w := range p.workers {
+		w.flush()
+		w.in <- message{day: day}
+	}
 	var procs []*pipeline.Processor
-	for _, s := range p.shards {
-		if s.quarantined {
-			continue
+	var failed error
+	for _, w := range p.workers {
+		// Every reply is collected even after a failure, so no worker is
+		// left holding one.
+		h := <-w.out
+		if h.err != nil && failed == nil {
+			failed = h.err
 		}
-		p.flush(s)
-		for !s.quarantined {
-			rep, err := p.closeShard(s, day)
-			if err != nil {
-				p.revive(s, err)
-				continue
-			}
-			if bad := cursorFault(rep, day); bad != nil {
-				// A day cursor from the future means the worker's state
-				// is not a prefix of this stream; its aggregates cannot
-				// be trusted.
-				p.revive(s, bad)
-				continue
-			}
-			for _, dp := range rep.procs {
-				procs = append(procs, dp.proc)
-			}
-			s.handed = day
-			s.restarts = 0
-			p.trimShard(s, day)
-			break
-		}
+		procs = append(procs, h.procs...)
 	}
-	if p.cfg.Dir != "" {
-		p.checkpointShards()
+	if failed != nil {
+		return nil, nil, failed
 	}
-
 	var merged *pipeline.Processor
 	if len(procs) > 0 {
 		var err error
 		merged, err = pipeline.Merge(procs...)
 		if err != nil {
-			return nil, p.degradedReport(day), fmt.Errorf("shard: merging day %d: %w", day, err)
+			return nil, nil, fmt.Errorf("shard: merging day %d: %w", day, err)
 		}
 	}
 	p.closedDay = day
-	deg := p.degradedReport(day)
 	if p.mMerge != nil {
 		p.mMerge.Observe(time.Since(start).Seconds())
 	}
-	p.observeLag(day)
-	return merged, deg, nil
+	return merged, nil, nil
 }
 
-// cursorFault validates a handoff's day cursors against the boundary.
-func cursorFault(rep closeReply, day int) error {
-	for _, dp := range rep.procs {
-		if got := dp.proc.Config().Days; got > day+1 {
-			return &pipeline.MismatchError{
-				Field: "days",
-				Want:  fmt.Sprintf("cursor <= %d", day+1),
-				Got:   fmt.Sprintf("cursor %d", got),
-			}
-		}
-	}
-	return nil
-}
-
-// trimShard drops one shard's replay-buffer entries whose day has been
-// handed off: their aggregates now live in the merged output, and the
-// restart floor at s.handed guarantees a restarted worker never sees
-// their day again.
-func (p *Pool) trimShard(s *shardState, day int) {
-	kept := s.buf[:0]
-	for _, e := range s.buf {
-		if p.dayOf(e.in.Time) > day {
-			kept = append(kept, e)
-		}
-	}
-	s.buf = kept
-}
-
-// checkpointShards snapshots every healthy shard and commits the
-// snapshot to its checkpoint file; on success the replay buffer is
-// trimmed to the entries after the snapshot's cursor. A write failure
-// leaves the buffer intact — recovery falls back to a longer replay.
-func (p *Pool) checkpointShards() {
-	for _, s := range p.shards {
-		if s.quarantined {
-			continue
-		}
-		rep, err := p.snapshotShard(s)
-		if err != nil {
-			p.revive(s, err)
-			continue
-		}
-		if err := p.writeCheckpoint(s.id, rep); err != nil {
-			continue
-		}
-		s.ckptSeq = rep.seq
-		s.ckptDay = rep.dayFloor
-		kept := s.buf[:0]
-		for _, e := range s.buf {
-			if e.seq > rep.seq {
-				kept = append(kept, e)
-			}
-		}
-		s.buf = kept
-	}
-}
-
-// degradedReport builds the missing-partition report for a boundary,
-// or nil when every shard is healthy.
-func (p *Pool) degradedReport(day int) *Degraded {
-	var deg *Degraded
-	for _, s := range p.shards {
-		if !s.quarantined {
-			continue
-		}
-		if deg == nil {
-			deg = &Degraded{Day: day}
-		}
-		deg.Missing = append(deg.Missing, s.id)
-		deg.Dropped += s.dropped
-		deg.Errors = append(deg.Errors, s.reason)
-	}
-	if deg != nil {
-		sort.Ints(deg.Missing)
-	}
-	return deg
-}
-
-// observeLag publishes how far the oldest healthy shard's durable floor
-// trails the closed day: the size of the replay window a restart would
-// need.
-func (p *Pool) observeLag(day int) {
-	if p.mLag == nil {
-		return
-	}
-	lag := 0
-	for _, s := range p.shards {
-		if s.quarantined {
-			continue
-		}
-		if l := day - s.ckptDay; l > lag {
-			lag = l
-		}
-	}
-	p.mLag.Set(float64(lag))
-}
-
-// Quarantined reports the quarantined shard indices, ascending.
-func (p *Pool) Quarantined() []int {
-	var out []int
-	for _, s := range p.shards {
-		if s.quarantined {
-			out = append(out, s.id)
-		}
-	}
-	return out
-}
-
-// ClosedThrough reports the last closed day boundary, -1 before any.
-func (p *Pool) ClosedThrough() int { return p.closedDay }
-
-// Close stops the workers. Pending un-flushed inputs are discarded;
-// call CloseDay for the final boundary first.
+// Close stops the workers and waits for them to exit. Inputs consumed
+// since the last CloseDay are discarded; close the final boundary
+// first.
 func (p *Pool) Close() error {
 	if p.closed {
 		return nil
 	}
 	p.closed = true
-	for _, s := range p.shards {
-		if s.w != nil {
-			close(s.w.in)
-			s.w = nil
-		}
+	for _, w := range p.workers {
+		close(w.in)
 	}
+	p.wg.Wait()
 	return nil
-}
-
-// ckptPath names a shard's checkpoint file.
-func (p *Pool) ckptPath(id int) string {
-	return filepath.Join(p.cfg.Dir, fmt.Sprintf("shard-%03d.ckpt", id))
 }

@@ -491,66 +491,83 @@ func deterministicConfig(t testing.TB, fail *bool) (Config, *dnssim.Scenario) {
 // TestCrashEquivalence is the headline crash-safety property: a run
 // interrupted after a day boundary and resumed from its checkpoint
 // emits, for every remaining day, exactly the alerts of an
-// uninterrupted run — same domains, same order, same scores.
+// uninterrupted run — same domains, same order, same scores — and ends
+// on the same checkpoint bytes. The shard count is not part of that
+// state: the reference is serial, and the interrupted run may be
+// sharded before the crash, after it, both, or neither.
 func TestCrashEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streaming end-to-end test")
 	}
 	skipIfRace(t)
 	cfg, s := deterministicConfig(t, nil)
+	lastDay := s.Config.Days - 1
 
-	// Reference: one uninterrupted run over the whole capture.
+	// Reference: one uninterrupted serial run over the whole capture.
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Generate(func(ev dnssim.Event) { ref.Consume(pipeline.Input(ev)) })
 	refAlerts := make(map[int][]Alert)
-	for day := 0; day < s.Config.Days; day++ {
+	for day := 0; day <= lastDay; day++ {
 		alerts, err := ref.EndOfDay(day)
 		if err != nil {
 			t.Fatalf("reference day %d: %v", day, err)
 		}
 		refAlerts[day] = alerts
 	}
+	refCkpt := checkpointBytes(t, ref, Cursor{Day: lastDay})
 
-	// Interrupted: run through day 1, checkpoint, "crash", restore,
-	// replay the full trace, finish the remaining days.
-	const crashAfter = 1
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Generate(func(ev dnssim.Event) { first.Consume(pipeline.Input(ev)) })
-	for day := 0; day <= crashAfter; day++ {
-		alerts, err := first.EndOfDay(day)
-		if err != nil {
-			t.Fatalf("first run day %d: %v", day, err)
-		}
-		if !reflect.DeepEqual(alerts, refAlerts[day]) {
-			t.Fatalf("day %d diverged before the crash; model build is not deterministic", day)
-		}
-	}
-	data := checkpointBytes(t, first, Cursor{Day: crashAfter})
-	first = nil // the crash
+	for _, tc := range []struct{ before, after int }{{1, 1}, {3, 3}, {1, 3}, {3, 1}} {
+		t.Run(fmt.Sprintf("shards=%d->%d", tc.before, tc.after), func(t *testing.T) {
+			// Interrupted: run through day 1, checkpoint, "crash", restore,
+			// replay the full trace, finish the remaining days.
+			const crashAfter = 1
+			before := cfg
+			before.Shards = tc.before
+			first, err := New(before)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer first.Close()
+			s.Generate(func(ev dnssim.Event) { first.Consume(pipeline.Input(ev)) })
+			for day := 0; day <= crashAfter; day++ {
+				alerts, err := first.EndOfDay(day)
+				if err != nil {
+					t.Fatalf("first run day %d: %v", day, err)
+				}
+				if !reflect.DeepEqual(alerts, refAlerts[day]) {
+					t.Fatalf("day %d diverged before the crash; model build is not deterministic", day)
+				}
+			}
+			data := checkpointBytes(t, first, Cursor{Day: crashAfter})
 
-	resumed, cur, err := Restore(bytes.NewReader(data), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Day != crashAfter {
-		t.Fatalf("restored cursor day %d, want %d", cur.Day, crashAfter)
-	}
-	s.Generate(func(ev dnssim.Event) { resumed.Consume(pipeline.Input(ev)) })
-	for day := crashAfter + 1; day < s.Config.Days; day++ {
-		alerts, err := resumed.EndOfDay(day)
-		if err != nil {
-			t.Fatalf("resumed day %d: %v", day, err)
-		}
-		if !reflect.DeepEqual(alerts, refAlerts[day]) {
-			t.Fatalf("day %d alerts diverge after restore:\n resumed: %+v\n reference: %+v",
-				day, alerts, refAlerts[day])
-		}
+			after := cfg
+			after.Shards = tc.after
+			resumed, cur, err := Restore(bytes.NewReader(data), after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resumed.Close()
+			if cur.Day != crashAfter {
+				t.Fatalf("restored cursor day %d, want %d", cur.Day, crashAfter)
+			}
+			s.Generate(func(ev dnssim.Event) { resumed.Consume(pipeline.Input(ev)) })
+			for day := crashAfter + 1; day <= lastDay; day++ {
+				alerts, err := resumed.EndOfDay(day)
+				if err != nil {
+					t.Fatalf("resumed day %d: %v", day, err)
+				}
+				if !reflect.DeepEqual(alerts, refAlerts[day]) {
+					t.Fatalf("day %d alerts diverge after restore:\n resumed: %+v\n reference: %+v",
+						day, alerts, refAlerts[day])
+				}
+			}
+			if !bytes.Equal(checkpointBytes(t, resumed, Cursor{Day: lastDay}), refCkpt) {
+				t.Error("final checkpoint bytes differ from the uninterrupted serial run's")
+			}
+		})
 	}
 }
 

@@ -68,25 +68,20 @@ type Config struct {
 	// maldomain_checkpoint_write_seconds, maldomain_restores_total{result},
 	// and maldomain_degraded_days_total.
 	Metrics *obsv.Registry
-	// Shards, when greater than 1, runs ingestion through a supervised
-	// shard pool: observations are partitioned by device across Shards
-	// workers, each aggregating independently, and every EndOfDay merges
-	// the shard aggregates back into the day's processor. Because the
-	// merge is deterministic and order-independent, the alert feed and
-	// checkpoint bytes are identical to a serial run for any shard count
-	// — Shards is excluded from the checkpoint fingerprint, so a
-	// checkpoint taken at one shard count restores at another. Worker
-	// crashes and hangs are retried with backoff; retry exhaustion
-	// quarantines the shard and surfaces through ShardDegraded. Sharded
-	// mode expects EndOfDay at every day boundary in order (the usual
-	// streaming protocol); skipping a boundary folds the skipped day's
-	// aggregates into the next closed day.
+	// Shards, when greater than 1, runs ingestion through a shard pool:
+	// observations are partitioned by device across Shards goroutines,
+	// each aggregating independently, and every EndOfDay merges the shard
+	// aggregates back into the day's processor. Because the merge is
+	// deterministic and order-independent, the alert feed and checkpoint
+	// bytes are identical to a serial run for any shard count — Shards is
+	// excluded from the checkpoint fingerprint, so a checkpoint taken at
+	// one shard count restores at another. A panic in a shard goroutine
+	// fails the next EndOfDay with a plain (not Degraded) error; recovery
+	// is a restart from the last checkpoint. Sharded mode expects EndOfDay
+	// at every day boundary in order (the usual streaming protocol);
+	// skipping a boundary folds the skipped day's aggregates into the next
+	// closed day.
 	Shards int
-	// ShardDir, when set alongside Shards, gives the pool a scratch
-	// directory for per-shard mid-stream checkpoints, bounding how much
-	// of the current day a crashed shard worker must replay from memory.
-	// The files are process-scratch, not durable state.
-	ShardDir string
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -139,11 +134,9 @@ type Rolling struct {
 	prevIndex map[string]int
 	prevEmb   map[bipartite.View]*core.Embedding
 
-	// pool is the sharded-ingestion supervisor when Config.Shards > 1,
-	// nil in serial mode. shardDeg is the degraded-merge report from the
-	// most recent EndOfDay (nil when every shard contributed).
-	pool     *shard.Pool
-	shardDeg *shard.Degraded
+	// pool aggregates ingestion on Config.Shards goroutines when that is
+	// greater than 1; nil in serial mode.
+	pool *shard.Pool
 }
 
 // New returns a Rolling detector.
@@ -165,9 +158,9 @@ func New(cfg Config) (*Rolling, error) {
 	return r, nil
 }
 
-// attachPool creates the shard supervisor for sharded ingestion. The
-// pool shares the detector's DHCP table, suffix table, and seed so
-// shard-side day processors are configured exactly like serial ones.
+// attachPool creates the shard pool for sharded ingestion. The pool
+// shares the detector's DHCP and suffix tables so shard-side day
+// processors are configured exactly like serial ones.
 func (r *Rolling) attachPool() error {
 	if r.cfg.Shards <= 1 {
 		return nil
@@ -177,8 +170,6 @@ func (r *Rolling) attachPool() error {
 		Start:    r.cfg.Start,
 		DHCP:     r.cfg.Detector.DHCP,
 		Suffixes: r.cfg.Detector.Suffixes,
-		Dir:      r.cfg.ShardDir,
-		Seed:     r.cfg.Detector.Seed,
 		Metrics:  r.cfg.Metrics,
 	})
 	if err != nil {
@@ -196,13 +187,6 @@ func (r *Rolling) Close() error {
 	}
 	return r.pool.Close()
 }
-
-// ShardDegraded reports the shard pool's degraded-merge report from the
-// most recent EndOfDay: nil when every shard contributed (or in serial
-// mode), otherwise the day, the missing partitions, and how many
-// observations they dropped. The detector keeps running degraded —
-// models are built over the healthy shards' aggregates.
-func (r *Rolling) ShardDegraded() *shard.Degraded { return r.shardDeg }
 
 // Consume folds one observation into its day's aggregation processor.
 // Observations timestamped before Config.Start are clamped into day 0
@@ -373,17 +357,16 @@ func (r *Rolling) EndOfDay(day int) ([]Alert, error) {
 	if r.pool != nil {
 		// Day-boundary barrier: collect every shard's aggregates for this
 		// day (and any earlier still-open day) and merge them into the
-		// same per-day processor a serial run would have built. Quarantine
-		// never fails the boundary — the merge covers the healthy shards
-		// and the loss is reported through ShardDegraded.
-		merged, deg, err := r.pool.CloseDay(day)
+		// same per-day processor a serial run would have built. A shard
+		// goroutine that panicked fails the boundary outright: no model is
+		// built over a partial day.
+		merged, _, err := r.pool.CloseDay(day)
 		if err != nil {
 			return nil, fmt.Errorf("stream: closing shard pool at day %d: %w", day, err)
 		}
 		if merged != nil {
 			r.days[day] = merged
 		}
-		r.shardDeg = deg
 	}
 	alerts, stage, err := r.modelDay(day)
 	// Evict in all paths: a bad day must not pin its window in memory

@@ -262,9 +262,6 @@ func TestShardedStreamMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d day %d: %v", shards, day, err)
 			}
-			if deg := r.ShardDegraded(); deg != nil {
-				t.Fatalf("shards=%d day %d: unexpected degradation: %v", shards, day, deg)
-			}
 			feed = append(feed, alerts)
 		}
 		var buf bytes.Buffer

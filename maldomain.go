@@ -36,7 +36,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -213,17 +212,10 @@ type Labeler = stream.Labeler
 func NewRolling(cfg StreamConfig) (*Rolling, error) { return stream.New(cfg) }
 
 // Sharded ingestion (StreamConfig.Shards > 1) partitions observations
-// by device across supervised shard workers with retry, backoff, and
-// quarantine; the merged output is byte-identical to a serial run.
-
-// ShardDegraded is a day boundary's degraded-merge report when one or
-// more ingestion shards were quarantined: the day, the missing
-// partitions, and the observations lost with them (Rolling.ShardDegraded).
-type ShardDegraded = shard.Degraded
-
-// ShardError is the typed terminal failure of one ingestion shard:
-// which partition, how many restart attempts, and the final cause.
-type ShardError = shard.ShardError
+// by device across that many goroutines and merges their aggregates at
+// each EndOfDay; the merged output is byte-identical to a serial run.
+// A panic in a shard goroutine fails that EndOfDay; recovery is a
+// restart from the last checkpoint, as for any other crash.
 
 // Crash safety: a Rolling detector checkpoints its full state at day
 // boundaries (Rolling.WriteCheckpoint) and a restart restores it

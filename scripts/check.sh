@@ -12,7 +12,8 @@
 # complete error-free, SIGHUP hot reload, graceful SIGTERM
 # shutdown), a crash-recovery smoke (streaming run SIGKILLed
 # mid-window, resumed from its checkpoint, feed compared byte-for-byte
-# against an uninterrupted run), the ledger's quick smoke, and a short
+# against an uninterrupted run), the same again sharded (killed at two
+# shards, resumed at three), the ledger's quick smoke, and a short
 # fuzz smoke for each native fuzz target. Every step must pass; the
 # script stops at the first failure.
 #
@@ -180,41 +181,49 @@ echo "==> maldetect crash-recovery smoke"
 "$smokedir/maldetect" stream -seed 7 \
     -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
     -feed "$smokedir/ref-alerts.tsv" 2>"$smokedir/ref-stream.log"
-# Crashy run: SIGKILL it as soon as the first checkpoint lands (the
-# remaining day boundaries are still pending), restart with the same
-# flags, and require the resumed feed to be byte-identical to the
-# uninterrupted run.
-"$smokedir/maldetect" stream -seed 7 \
-    -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
-    -feed "$smokedir/alerts.tsv" -checkpoint "$smokedir/stream.ckpt" \
-    2>"$smokedir/stream.log" &
-stream_pid=$!
-for _ in $(seq 1 300); do
-    [ -f "$smokedir/stream.ckpt" ] && break
-    sleep 0.1
-done
-[ -f "$smokedir/stream.ckpt" ]
-kill -9 "$stream_pid" 2>/dev/null || true
-wait "$stream_pid" 2>/dev/null || true
-stream_pid=""
-"$smokedir/maldetect" stream -seed 7 \
-    -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
-    -feed "$smokedir/alerts.tsv" -checkpoint "$smokedir/stream.ckpt" \
-    2>>"$smokedir/stream.log"
-grep -q 'resumed from' "$smokedir/stream.log"
-cmp "$smokedir/ref-alerts.tsv" "$smokedir/alerts.tsv"
+# crash_resume NAME FLAGS RESUME_FLAGS: SIGKILL a checkpointed run as soon
+# as its first checkpoint lands (the remaining day boundaries are still
+# pending), restart it, and require the resumed feed to be byte-identical
+# to the uninterrupted serial reference.
+crash_resume() {
+    local name="$1" flags="$2" resume_flags="$3"
+    # shellcheck disable=SC2086 # the flag strings are meant to split
+    "$smokedir/maldetect" stream -seed 7 $flags \
+        -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
+        -feed "$smokedir/$name-alerts.tsv" -checkpoint "$smokedir/$name.ckpt" \
+        2>"$smokedir/$name.log" &
+    stream_pid=$!
+    for _ in $(seq 1 300); do
+        [ -f "$smokedir/$name.ckpt" ] && break
+        sleep 0.1
+    done
+    [ -f "$smokedir/$name.ckpt" ]
+    kill -9 "$stream_pid" 2>/dev/null || true
+    wait "$stream_pid" 2>/dev/null || true
+    stream_pid=""
+    # shellcheck disable=SC2086
+    "$smokedir/maldetect" stream -seed 7 $resume_flags \
+        -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
+        -feed "$smokedir/$name-alerts.tsv" -checkpoint "$smokedir/$name.ckpt" \
+        2>>"$smokedir/$name.log"
+    grep -q 'resumed from' "$smokedir/$name.log"
+    cmp "$smokedir/ref-alerts.tsv" "$smokedir/$name-alerts.tsv"
+}
+# Same flags before and after the crash.
+crash_resume serial "" ""
 
 echo "==> sharded-ingestion smoke"
-# Chaos suite under the race detector: shard workers are panicked,
-# hung, and starved of temp files mid-run, and the recovered merged
-# model must hash identically to a serial build.
-go test -race -run Chaos ./internal/shard
-# A 2-shard streaming run over the same trace must produce a feed
-# byte-identical to the serial reference from the crash-recovery smoke.
-"$smokedir/maldetect" stream -seed 7 -shards 2 \
-    -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
-    -feed "$smokedir/shard-alerts.tsv" 2>"$smokedir/shard-stream.log"
-cmp "$smokedir/ref-alerts.tsv" "$smokedir/shard-alerts.tsv"
+# The whole package under the race detector, the worker-panic test
+# included: the pool's only concurrency is the batch hand-off.
+go test -race ./internal/shard
+# The same SIGKILL-resume, sharded: killed at 2 shards, resumed at 3. The
+# pool keeps nothing on disk; recovery is the stream checkpoint's, and the
+# shard count is not part of it.
+crash_resume shard "-shards 2" "-shards 3"
+# The per-shard checkpoint directory is gone, and so is its flag.
+status=0
+"$smokedir/maldetect" stream -shard-dir x 2>/dev/null || status=$?
+[ "$status" = 2 ]
 
 echo "==> benchmark smoke (ledger quick run)"
 # Skipped under -race, so the race stage above does not cover it.
