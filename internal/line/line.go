@@ -25,16 +25,23 @@
 // perturbation hogwild SGD tolerates. With Workers=1 training is fully
 // deterministic in the seed.
 //
-// One SGD sample is a handful of calls to matrix.step, which scores the
-// source vector against one target row and updates the row and the
-// source's gradient in a single pass. step has one contract (stated on
-// matrix_norace.go's step) and three implementations that agree bit for
-// bit: a pure-Go loop, the atomic loop of race builds, and on amd64 CPUs
-// with AVX a pair of assembly kernels (kernel_amd64.s) that run the
-// loop's four accumulators as the four lanes of one vector register.
-// Which one runs is decided by the build and, for AVX, once at start-up
-// from CPUID; there is nothing to configure, and a model does not record
-// which one trained it because it cannot tell.
+// The unit of work is the sample. A worker draws an edge, a direction
+// and the sample's targets — the positive vertex, then the negatives —
+// and hands them to matrix.sample in one call: copy the source row, zero
+// its gradient, for each target score the source against the target row
+// and update the row and the gradient in a single pass (matrix.step),
+// add the gradient to the source row. Drawing every target before any
+// row moves changes nothing: the arithmetic consumes no randomness, so
+// the generator sees the same calls in the same order as when draws and
+// steps alternated. sample has one contract (stated on matrix_norace.go's
+// sample) and three implementations that agree bit for bit: a pure-Go
+// loop over step, the atomic loop of race builds, and on amd64 CPUs with
+// AVX one assembly kernel (kernel_amd64.s) that does the whole sample —
+// the dot product's four accumulators as the four lanes of a vector
+// register, mathx.FastSigmoid's table lookup inline — without returning
+// to Go. Which one runs is decided by the build and, for AVX, once at
+// start-up from CPUID; there is nothing to configure, and a model does
+// not record which one trained it because it cannot tell.
 //
 // The loop around it avoids per-sample transcendental and bookkeeping
 // costs: the logistic function is a 1024-interval lookup table
@@ -86,8 +93,8 @@ type Config struct {
 	// Negatives is the number of negative samples per positive edge
 	// (default 5).
 	Negatives int
-	// InitialLR is the starting learning rate, decayed linearly to 1% of
-	// itself over training (default 0.025).
+	// InitialLR is the starting learning rate, decayed linearly over
+	// training and floored at 0.01% of itself (default 0.025).
 	InitialLR float64
 	// Workers bounds parallelism (default GOMAXPROCS). Training is
 	// deterministic only when Workers is 1.
@@ -175,6 +182,13 @@ func Train(g *graph.Weighted, cfg Config) (*Embedding, error) {
 		for v, row := range cfg.Init {
 			if row != nil && len(row) != cfg.Dim {
 				return nil, fmt.Errorf("line: Init row %d has dim %d, want %d", v, len(row), cfg.Dim)
+			}
+			// One NaN or Inf would spread through the gradient into
+			// every row it meets, and into the model, without a sound.
+			for i, x := range row {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return nil, fmt.Errorf("line: Init row %d has non-finite component %d", v, i)
+				}
 			}
 		}
 	}
@@ -282,6 +296,7 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 			defer wg.Done()
 			src := make([]float64, cfg.Dim)
 			grad := make([]float64, cfg.Dim)
+			targets := make([]int32, 0, 1+cfg.Negatives)
 			lr := cfg.InitialLR
 			floorLR := cfg.InitialLR * 0.0001
 			for s := 0; s < steps; s++ {
@@ -311,14 +326,12 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 				if rng.Float64() < 0.5 {
 					u, v = v, u
 				}
-				emb.load(u, src)
-				clear(grad)
-				// Positive example.
-				tgt.step(v, src, grad, 1, lr)
-				// Negative samples: resample collisions with the positive
-				// pair in place (bounded rejection loop) so every step
-				// trains on the configured number of negatives instead of
+				// The sample's targets: the positive example, then the
+				// negatives. A collision with the positive pair is redrawn
+				// in place (bounded rejection loop) so every sample trains
+				// on the configured number of negatives instead of
 				// silently dropping some on dense toy graphs.
+				targets = append(targets[:0], v)
 				for k := 0; k < cfg.Negatives; k++ {
 					nv := int32(noiseSampler.Sample(rng))
 					for tries := 0; (nv == v || nv == u) && tries < negRetries; tries++ {
@@ -327,9 +340,9 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 					if nv == v || nv == u {
 						continue
 					}
-					tgt.step(nv, src, grad, 0, lr)
+					targets = append(targets, nv)
 				}
-				emb.add(u, grad)
+				emb.sample(tgt, u, targets, src, grad, lr)
 			}
 		}(root.Split())
 	}

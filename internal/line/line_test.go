@@ -289,6 +289,18 @@ func TestWarmStartInitValidation(t *testing.T) {
 	if _, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 1000, Init: bad}); err == nil {
 		t.Fatal("Init row with wrong dim accepted")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, order := range []Order{OrderFirst, OrderBoth} {
+			init := make([][]float64, 6)
+			init[1] = make([]float64, 8)
+			init[4] = make([]float64, 8)
+			init[4][5] = x
+			_, err := Train(g, Config{Dim: 8, Order: order, Samples: 1000, Init: init})
+			if want := "line: Init row 4 has non-finite component 5"; err == nil || err.Error() != want {
+				t.Errorf("Init with %v, order %d: error %v, want %q", x, order, err, want)
+			}
+		}
+	}
 }
 
 func TestWarmStartSeedsVectors(t *testing.T) {
@@ -585,6 +597,156 @@ func TestStepMatchesReference(t *testing.T) {
 		gotRow := runStep(row, src, grad, label, lr)
 		if !sameBits(gotRow, wantRow) || !sameBits(grad, wantGrad) {
 			t.Fatalf("%s: step differs from reference\nrow  %v\nwant %v\ngrad %v\nwant %v", name, gotRow, wantRow, grad, wantGrad)
+		}
+	})
+}
+
+// sampleCase is one SGD sample on matrices small enough to write down:
+// source vertex u of emb against rows of tgt (nil for first order, where
+// the targets are rows of emb itself).
+type sampleCase struct {
+	emb, tgt [][]float64
+	u        int32
+	targets  []int32
+	lr       float64
+}
+
+// sampleResult is everything a sample may write.
+type sampleResult struct {
+	emb, tgt  [][]float64
+	src, grad []float64
+}
+
+func (r sampleResult) same(o sampleResult) bool {
+	for i := range r.emb {
+		if !sameBits(r.emb[i], o.emb[i]) {
+			return false
+		}
+	}
+	for i := range r.tgt {
+		if !sameBits(r.tgt[i], o.tgt[i]) {
+			return false
+		}
+	}
+	return sameBits(r.src, o.src) && sameBits(r.grad, o.grad)
+}
+
+func cloneRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = append([]float64(nil), row...)
+	}
+	return out
+}
+
+// reference is the sequence matrix.sample stands for, on plain slices
+// and with the unfused referenceStep: copy the source row, zero the
+// gradient, one step per target (the first the positive), add the
+// gradient back.
+func (c sampleCase) reference() sampleResult {
+	r := sampleResult{emb: cloneRows(c.emb), tgt: cloneRows(c.tgt)}
+	trows := r.tgt
+	if c.tgt == nil {
+		trows = r.emb
+	}
+	r.src = append([]float64(nil), r.emb[c.u]...)
+	r.grad = make([]float64, len(r.src))
+	label := 1.0
+	for _, t := range c.targets {
+		referenceStep(trows[t], r.src, r.grad, label, c.lr)
+		label = 0
+	}
+	for i, g := range r.grad {
+		r.emb[c.u][i] += g
+	}
+	return r
+}
+
+// run is the same through whichever matrix.sample this build and
+// useAVX select. The scratch buffers start dirty: sample owns clearing
+// them.
+func (c sampleCase) run() sampleResult {
+	fill := func(rows [][]float64) *matrix {
+		m := newMatrix(len(rows), len(rows[0]))
+		for v, row := range rows {
+			m.set(int32(v), row)
+		}
+		return m
+	}
+	emb := fill(c.emb)
+	tgt := emb
+	if c.tgt != nil {
+		tgt = fill(c.tgt)
+	}
+	r := sampleResult{src: make([]float64, emb.dim), grad: make([]float64, emb.dim)}
+	for i := range r.src {
+		r.src[i], r.grad[i] = 42, -42
+	}
+	emb.sample(tgt, c.u, c.targets, r.src, r.grad, c.lr)
+	r.emb = emb.rows()
+	if c.tgt != nil {
+		r.tgt = tgt.rows()
+	}
+	return r
+}
+
+// sampleRows is how many rows a sampleCase matrix has: the source and
+// up to six distinct targets.
+const sampleRows = 7
+
+// forEachSampleCase calls f with samples of every row length 1…40, rows
+// drawn from every pairing of element classes (targets × source), 1…6
+// targets that are distinct, name one row twice, or name one row every
+// time, alternating first order (one matrix) and second (two).
+func forEachSampleCase(f func(name string, c sampleCase)) {
+	rng := mathx.NewRNG(78)
+	fill := func(n, dim int, gen func(*mathx.RNG) float64) [][]float64 {
+		rows := make([][]float64, n)
+		for v := range rows {
+			rows[v] = make([]float64, dim)
+			for i := range rows[v] {
+				rows[v][i] = gen(rng)
+			}
+		}
+		return rows
+	}
+	patterns := []struct {
+		name string
+		row  func(k, n int) int32
+	}{
+		{"distinct", func(k, n int) int32 { return int32(1 + k) }},
+		{"twice", func(k, n int) int32 { return int32(1 + k%max(n-1, 1)) }}, // the last repeats the first
+		{"same", func(k, n int) int32 { return 3 }},
+	}
+	second := false
+	for dim := 1; dim <= 40; dim++ {
+		for _, tc := range stepValues {
+			for _, sc := range stepValues {
+				for n := 1; n <= sampleRows-1; n++ {
+					for _, p := range patterns {
+						c := sampleCase{emb: fill(sampleRows, dim, tc.gen), lr: 0.025 * rng.Float64()}
+						c.emb[0] = fill(1, dim, sc.gen)[0]
+						if second = !second; second {
+							c.tgt = fill(sampleRows, dim, tc.gen)
+						}
+						for k := 0; k < n; k++ {
+							c.targets = append(c.targets, p.row(k, n))
+						}
+						f(fmt.Sprintf("dim=%d targets=%s×%d(%s) src=%s second=%v", dim, tc.name, n, p.name, sc.name, second), c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSampleMatchesReference checks whichever sample this build selects
+// (the AVX kernel or the Go loop on amd64, the Go loop on arm64, the
+// atomic loop under -race) against the unfused sequence.
+func TestSampleMatchesReference(t *testing.T) {
+	forEachSampleCase(func(name string, c sampleCase) {
+		if got, want := c.run(), c.reference(); !got.same(want) {
+			t.Fatalf("%s: sample differs from reference\ngot  %+v\nwant %+v", name, got, want)
 		}
 	})
 }

@@ -21,7 +21,7 @@ import "repro/internal/mathx"
 // variant while this file's correctness rests on the no-tear guarantee
 // plus hogwild's tolerance of lost increments.
 //
-// The no-tear argument covers the AVX kernels too. They move rows with
+// The no-tear argument covers the AVX kernel too. It moves rows with
 // 32-byte loads and stores, which x86 does not promise to perform as one
 // access — but every float64 in a row is 8-byte aligned (the allocator
 // aligns the slice, and rows are whole elements), and x86 never splits
@@ -32,7 +32,7 @@ import "repro/internal/mathx"
 // auto-vectorise, rests on the same assumption.
 //
 // With Workers=1 none of this matters: both variants, and the AVX and
-// pure-Go forms of step, perform identical arithmetic in the same
+// pure-Go forms of sample, perform identical arithmetic in the same
 // order, so training stays bit-deterministic in the seed across build
 // modes and across amd64 machines with and without AVX. (arm64 is
 // deterministic too, but the compiler may fuse multiply-adds there, so
@@ -60,21 +60,59 @@ func (m *matrix) load(v int32, buf []float64) {
 	copy(buf, m.data[int(v)*m.dim:])
 }
 
-// step is one SGD update of target row t against src: it scores
-// x = src·row, takes g = (label − σ(x))·lr, then in a single pass does
-// grad[i] += g·row[i]; row[i] += g·src[i], reading row[i] before it is
-// written. src and grad have length dim and alias neither each other
-// nor row t.
+// sample is one SGD sample: the source vertex u of m against the rows
+// of tgt named by targets, the first a positive example (label 1), the
+// rest negatives (label 0). In order: load(u, src); clear(grad);
+// tgt.step(t, src, grad, label, lr) for each target; add(u, grad). A
+// row named twice sees its own earlier update the second time. tgt may
+// be m itself (first order); src and grad are the caller's scratch,
+// length dim, and hold u's pre-sample row and its gradient afterwards.
+// The caller draws every target before the call, which reorders no
+// draw: nothing in a sample consumes randomness.
 //
-// The kernel contract, which the AVX path (kernel_amd64.s), this loop
-// and matrix_race.go's atomic loop all keep, so they agree bit for bit:
-// the dot product of the leading len&^3 elements runs in four
-// accumulators, element i into accumulator i%4, each product rounded
-// before it is added (the compiler does not fuse on amd64, and the
-// kernels must not use FMA), summed as ((s0+s1)+s2)+s3; the trailing
-// len%4 products are then added in index order. When a result is NaN
-// every path returns NaN, but the payload is whichever operand's the
-// hardware picks.
+// Three implementations keep this contract and agree bit for bit: the
+// loop below, matrix_race.go's atomic one, and on amd64 with AVX the
+// whole sample, sigmoid included, in one assembly call
+// (kernel_amd64.s).
+//
+//alloccheck:hot
+func (m *matrix) sample(tgt *matrix, u int32, targets []int32, src, grad []float64, lr float64) {
+	if useAVX {
+		// The kernel checks no bounds, so the slicing here does: row u,
+		// every target row and both buffers, as the loop below would.
+		dim := m.dim
+		urow := m.data[int(u)*dim:][:dim]
+		src, grad = src[:dim], grad[:dim]
+		for _, t := range targets {
+			_ = tgt.data[int(t)*dim:][:dim]
+		}
+		sampleAVX(&urow[0], &tgt.data[0], dim, targets, &src[0], &grad[0], lr, mathx.SigmoidTable())
+		return
+	}
+	m.load(u, src)
+	clear(grad)
+	label := 1.0
+	for _, t := range targets {
+		tgt.step(t, src, grad, label, lr)
+		label = 0
+	}
+	m.add(u, grad)
+}
+
+// step is one SGD update of target row t against src: it scores
+// x = src·row, takes g = (label − σ(x))·lr (coeff), then in a single
+// pass does grad[i] += g·row[i]; row[i] += g·src[i], reading row[i]
+// before it is written. src and grad have length dim and alias neither
+// each other nor row t.
+//
+// The arithmetic contract, which the AVX kernel and matrix_race.go's
+// atomic loop keep too: the dot product of the leading len&^3 elements
+// runs in four accumulators, element i into accumulator i%4, each
+// product rounded before it is added (the compiler does not fuse on
+// amd64, and the kernel must not use FMA), summed as ((s0+s1)+s2)+s3;
+// the trailing len%4 products are then added in index order. When a
+// result is NaN every path returns NaN, but the payload is whichever
+// operand's the hardware picks.
 //
 //alloccheck:hot
 func (m *matrix) step(t int32, src, grad []float64, label, lr float64) {
@@ -82,33 +120,20 @@ func (m *matrix) step(t int32, src, grad []float64, label, lr float64) {
 	row := m.data[base : base+m.dim : base+m.dim]
 	src, grad = src[:len(row)], grad[:len(row)]
 	n4 := len(row) &^ 3
-	vec := useAVX && n4 != 0
-
-	var s float64
-	if vec {
-		s = dotAVX(&src[0], &row[0], n4)
-	} else {
-		var s0, s1, s2, s3 float64
-		for i := 0; i < n4; i += 4 {
-			s0 += src[i] * row[i]
-			s1 += src[i+1] * row[i+1]
-			s2 += src[i+2] * row[i+2]
-			s3 += src[i+3] * row[i+3]
-		}
-		s = s0 + s1 + s2 + s3
+	var s0, s1, s2, s3 float64
+	for i := 0; i < n4; i += 4 {
+		s0 += src[i] * row[i]
+		s1 += src[i+1] * row[i+1]
+		s2 += src[i+2] * row[i+2]
+		s3 += src[i+3] * row[i+3]
 	}
+	s := s0 + s1 + s2 + s3
 	for i := n4; i < len(row); i++ {
 		s += src[i] * row[i]
 	}
 	g := coeff(label, s, lr)
 
-	i := 0
-	if vec {
-		updateAVX(&row[0], &src[0], &grad[0], n4, g)
-		i = n4
-	}
-	for ; i < len(row); i++ {
-		r := row[i]
+	for i, r := range row {
 		grad[i] += g * r
 		row[i] = r + g*src[i]
 	}

@@ -53,7 +53,23 @@ func (m *matrix) load(v int32, buf []float64) {
 	}
 }
 
-// step is one SGD update of target row t against src, to the kernel
+// sample is one SGD sample, to the contract on matrix_norace.go's
+// sample: the same sequence over the atomic load, step and add.
+//
+//alloccheck:hot
+func (m *matrix) sample(tgt *matrix, u int32, targets []int32, src, grad []float64, lr float64) {
+	m.load(u, src)
+	clear(grad)
+	label := 1.0
+	for _, t := range targets {
+		tgt.step(t, src, grad, label, lr)
+		label = 0
+	}
+	m.add(u, grad)
+}
+
+// step is one SGD update of target row t against src, to the arithmetic
+
 // contract on matrix_norace.go's step: same accumulators, same order,
 // same pre-update read, with every element access atomic (each element
 // is loaded once for the score and once more for the update, as

@@ -146,6 +146,11 @@ var sigTable = func() [sigIntervals + 1]float64 {
 	return t
 }()
 
+// SigmoidTable returns FastSigmoid's knots, read-only, for a kernel
+// that inlines the lookup (internal/line's) to interpolate the very
+// values FastSigmoid does.
+func SigmoidTable() *[sigIntervals + 1]float64 { return &sigTable }
+
 // FastSigmoid returns a linearly interpolated table lookup of the
 // logistic function. Inside [−6, 6] the interpolation error is below
 // 2e−6 (h²/8·max|σ″| with table step h ≈ 0.0117 and |σ″| ≤ 0.0963);

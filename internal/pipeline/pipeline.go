@@ -258,9 +258,8 @@ func (p *Processor) Config() Config { return p.cfg }
 // or bucket indices mean different things in different shards, or their
 // day cursors have drifted further apart than the caller's window
 // allows. Field is one of "start", "bucket", "suffixes", or "days";
-// Want/Got render the disagreeing values. A shard supervisor acts on
-// the typed error by quarantining the shard whose aggregate disagrees
-// instead of aborting the whole merge.
+// Want/Got render the disagreeing values. Nothing recovers from it:
+// shard.Pool.CloseDay wraps it and that day's close fails.
 type MismatchError struct {
 	// Field names the disagreeing configuration dimension.
 	Field string

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the tier-1+ correctness gate for this repository.
 #
-# Runs, in order: formatting, go vet, build, the sealed-file gate, the
+# Runs, in order: formatting, go vet, build (and a vet of internal/line as
+# arm64 sees it, without the AVX kernel), the sealed-file gate, the
 # maldlint static analyzer (against the committed baseline, plus a -json
 # schema smoke), the escape-analysis gate for the scoring, ingest and SGD
 # hot paths (scripts/alloccheck.sh against its committed baseline), the full
@@ -39,6 +40,9 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> GOARCH=arm64 go vet ./internal/line (the build without the AVX kernel)"
+GOARCH=arm64 go vet ./internal/line
 
 echo "==> sealed-file gate (framing and commit live in internal/crcio only)"
 if grep -rnE '(CreateTemp|\.Rename|crcio\.New(Writer|Reader))\(' --include='*.go' . |
@@ -237,7 +241,7 @@ if [ "$fuzztime" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime="$fuzztime" ./internal/stream
     go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime="$fuzztime" ./internal/crcio
     go test -run='^$' -fuzz='^FuzzDecodeNDJSON$' -fuzztime="$fuzztime" ./internal/serve
-    go test -run='^$' -fuzz='^FuzzStepKernel$' -fuzztime="$fuzztime" ./internal/line
+    go test -run='^$' -fuzz='^FuzzSampleKernel$' -fuzztime="$fuzztime" ./internal/line
 fi
 
 echo "==> all checks passed"
