@@ -429,10 +429,20 @@ func (s *Scorer) Predict(domain string) (int, bool) {
 	return int(s.labels[i]), true
 }
 
+// Index returns the domain's position in Domains() — the key the
+// serving layer uses into tables it builds per retained domain; ok is
+// false for domains outside the model.
+//
+//alloccheck:hot
+func (s *Scorer) Index(domain string) (int, bool) {
+	i, ok := s.index[domain]
+	return i, ok
+}
+
 // Result returns the domain's full scoring outcome in comma-ok form:
 // the same Score/Label pair the batch API reports, without touching
-// the error path. It is the building block the serving layer's hot
-// path uses.
+// the error path. The serving layer renders its per-domain responses
+// from it at load.
 //
 //alloccheck:hot
 func (s *Scorer) Result(domain string) (Result, bool) {

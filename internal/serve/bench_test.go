@@ -38,6 +38,11 @@ func (w *benchWriter) WriteHeader(code int)        { w.code = code }
 func (w *benchWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 func (w *benchWriter) reset()                      { w.code = 0; w.n = 0 }
 
+// Flush makes the writer an http.Flusher like the real server's: the
+// ResponseController's ErrNotSupported for a writer without one
+// allocates per flush.
+func (w *benchWriter) Flush() {}
+
 // BenchmarkServeScore measures single-domain GETs through the full
 // stack — router, gate, metrics, scoring, manual encoding — with the
 // request and writer reused so the handler's own allocations are what
@@ -87,12 +92,8 @@ func BenchmarkServeScoreParallel(b *testing.B) {
 
 // batchRequest builds a reusable POST /v1/score/batch request whose
 // body can be rewound with rewind() between iterations.
-func batchRequest(b *testing.B, domains []string, ndjson bool) (*http.Request, func()) {
-	body, err := json.Marshal(BatchRequest{Domains: domains})
-	if err != nil {
-		b.Fatal(err)
-	}
-	br := bytes.NewReader(body)
+func batchRequest(tb testing.TB, domains []string, ndjson bool) (*http.Request, func()) {
+	br := bytes.NewReader(marshalBatch(tb, domains...))
 	req := httptest.NewRequest("POST", "/v1/score/batch", io.NopCloser(br))
 	if ndjson {
 		req.Header.Set("Accept", NDJSONContentType)

@@ -16,6 +16,15 @@ package serve
 // TestManualEncodingEquivalence and FuzzJSONStringEquivalence. Callers
 // that change a response shape must extend both the appender and the
 // equivalence test.
+//
+// The appenders have two consumers: handlers encoding a response per
+// request (fold-in verdicts, no-evidence batch entries, errors), and
+// renderRows, which runs appendScoreResponse once per retained domain
+// at model load and lets every scoring route serve the stored bytes. The
+// second leans on one more identity, pinned by
+// TestRenderedRowsMatchEncoders: with a non-empty source,
+// appendScoreResponse(…) equals appendBatchResult(…) plus a newline, so
+// the two must keep their field order and formats in step.
 
 import (
 	"math"

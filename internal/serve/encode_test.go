@@ -179,6 +179,57 @@ func TestServedEncodingEquivalence(t *testing.T) {
 	}
 }
 
+// TestRenderedRowsMatchEncoders pins the row table loadModel renders to
+// the encoders it stands in for: every retained domain's row is
+// appendScoreResponse's output, which is appendBatchResult's plus a
+// newline, which is encoding/json's of the documented struct. The
+// middle identity is what lets one row serve all three scoring routes;
+// it is checked over the nasty-input matrix too, since it must hold for
+// whatever a model's domain names and scores turn out to be.
+func TestRenderedRowsMatchEncoders(t *testing.T) {
+	modelA, _, scorerA, _ := models(t)
+	s, _ := newTestServer(t, modelA, nil)
+	st := s.model.Load()
+	domains := scorerA.Domains()
+	if len(st.rowOff) != len(domains)+1 || int(st.rowOff[len(domains)]) != len(st.rows) {
+		t.Fatalf("row table: %d offsets ending at %d for %d domains and %d bytes",
+			len(st.rowOff), st.rowOff[len(st.rowOff)-1], len(domains), len(st.rows))
+	}
+	for _, d := range domains {
+		i, ok := st.scorer.Index(d)
+		if !ok || domains[i] != d {
+			t.Fatalf("Index(%q) = %d, %v", d, i, ok)
+		}
+		score, _ := scorerA.Score(d)
+		label, _ := scorerA.Predict(d)
+		row := st.row(i)
+		if want := appendScoreResponse(nil, d, score, label, true, 1, "model"); !bytes.Equal(row, want) {
+			t.Fatalf("row of %s:\n got %s\nwant %s (appendScoreResponse)", d, row, want)
+		}
+		if want := append(appendBatchResult(nil, d, score, label, true, 1, "model"), '\n'); !bytes.Equal(row, want) {
+			t.Fatalf("row of %s:\n got %s\nwant %s (appendBatchResult + newline)", d, row, want)
+		}
+		want := encodeRef(t, ScoreResponse{Domain: d, Score: score, Label: label, Known: true, Confidence: 1, Source: "model"})
+		if !bytes.Equal(row, want) {
+			t.Fatalf("row of %s:\n got %s\nwant %s (encoding/json)", d, row, want)
+		}
+	}
+	if _, ok := st.scorer.Index("missing.example"); ok {
+		t.Fatal("Index found a domain outside the model")
+	}
+	for _, d := range nastyStrings {
+		for _, f := range nastyFloats {
+			for _, label := range []int{0, 1} {
+				one := appendScoreResponse(nil, d, f, label, true, 1, "model")
+				other := append(appendBatchResult(nil, d, f, label, true, 1, "model"), '\n')
+				if !bytes.Equal(one, other) {
+					t.Fatalf("(%q, %v, %d): score response %s != batch line %s", d, f, label, one, other)
+				}
+			}
+		}
+	}
+}
+
 // TestMaxBodyDerivation pins the MaxBatch → MaxBody sizing rule: any
 // legal batch of maximum-length DNS names must fit under the derived
 // cap.

@@ -16,8 +16,10 @@ package serve
 // score-and-forward line by line without buffering the whole response,
 // and the server streams the body in fixed-size chunks without ever
 // materializing it: a 10k-domain batch costs the daemon one chunk
-// buffer, not a megabyte of response. DecodeNDJSON is the reference
-// consumer; FuzzDecodeNDJSON pins its robustness.
+// buffer, not a megabyte of response. A retained domain's line is its
+// pre-rendered row (modelState), copied into the chunk as is.
+// DecodeNDJSON is the reference consumer; FuzzDecodeNDJSON pins its
+// robustness.
 
 import (
 	"bufio"

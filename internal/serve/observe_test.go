@@ -286,3 +286,60 @@ func TestObserveScoreReloadRace(t *testing.T) {
 		t.Fatalf("%d malformed responses under observe/score/reload churn", n)
 	}
 }
+
+// wantObserveStatus is FuzzObserveBody's oracle: the status the observe
+// route owes a body, from encoding/json and the route's documented
+// validation.
+func wantObserveStatus(body []byte, maxBody int) int {
+	if len(body) > maxBody {
+		return http.StatusRequestEntityTooLarge
+	}
+	var req ObserveRequest
+	if json.Unmarshal(body, &req) != nil || req.Domain == "" || len(req.Relations) == 0 {
+		return http.StatusBadRequest
+	}
+	for _, rel := range req.Relations {
+		if _, ok := viewByName(rel.View); !ok || rel.Neighbor == "" {
+			return http.StatusBadRequest
+		}
+	}
+	return http.StatusOK
+}
+
+// FuzzObserveBody throws arbitrary bytes at POST /v1/observe, the one
+// route that decodes untrusted input into the daemon's state: it must
+// not panic, must answer 200 exactly when the body is one ObserveRequest
+// document that passes validation (413 over the body cap, 400 for
+// everything else), and must keep the fold-in cache within its bound.
+func FuzzObserveBody(f *testing.F) {
+	const maxBody, maxEntries = 1024, 4
+	modelA, _, scorerA, _ := models(f)
+	s, _ := newTestServer(f, modelA, func(c *Config) {
+		c.MaxBody = maxBody
+		c.FoldInMaxEntries = maxEntries
+	})
+	neighbor := scorerA.Domains()[0]
+	valid := `{"domain":"x.example","relations":[{"view":"query","neighbor":"` + neighbor + `","weight":2}]}`
+	for _, seed := range []string{
+		valid, valid + "garbage", valid + valid, valid + " \n", "", "null", "{}", "not json",
+		`{"domain":"y.example","relations":[{"view":"ip","neighbor":"nobody.example","weight":-1e308}]}`,
+		`{"domain":"x.example","relations":[{"view":"dns","neighbor":"` + neighbor + `"}]}`,
+		`{"domain":"x.example","relations":[{"view":"time"}]}`,
+		`{"domain":"x.example","relations":[]}`,
+		`{"relations":[{"view":"query","neighbor":"` + neighbor + `"}]}`,
+		`{"DOMAIN":"z.example","Relations":[{"View":"query","Neighbor":"` + neighbor + `"}]}`,
+		valid[:len(valid)-1] + strings.Repeat(" ", maxBody) + "}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/observe", bytes.NewReader(body)))
+		if want := wantObserveStatus(body, maxBody); rec.Code != want {
+			t.Fatalf("POST /v1/observe %q: status %d, want %d: %s", body, rec.Code, want, rec.Body.String())
+		}
+		if n := s.FoldIn().Len(); n > maxEntries {
+			t.Fatalf("fold-in cache holds %d entries, bound %d", n, maxEntries)
+		}
+	})
+}

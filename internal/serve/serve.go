@@ -39,11 +39,16 @@
 // The request path is engineered for zero steady-state allocations:
 // routing is a hand-rolled prefix switch (no ServeMux wildcard
 // machinery), responses are hand-encoded into pooled buffers
-// (encode.go; byte-identical to encoding/json by test), scoring reads
-// the Scorer's precomputed decision table, and metric series are
-// resolved once per route instead of per request. A single-domain
-// score costs ≤ 2 allocations end to end; scripts/alloccheck.sh gates
-// the handlers against new heap escapes.
+// (encode.go; byte-identical to encoding/json by test), and metric
+// series are resolved once per route instead of per request. A retained
+// domain's response is not even encoded per request: loadModel renders
+// every retained domain's line once, before the generation is
+// installed, and all three scoring routes copy it out (modelState).
+// Batch bodies are read whole and, in the canonical shape clients send,
+// scanned without encoding/json (request.go). A single-domain score
+// costs ≤ 2 allocations end to end and a batch a constant few whatever
+// its size; scripts/alloccheck.sh gates the handlers against new heap
+// escapes.
 package serve
 
 import (
@@ -51,6 +56,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -131,10 +137,47 @@ func (c Config) withDefaults() Config {
 }
 
 // modelState is one loaded model generation; the Server swaps whole
-// states so every request sees a consistent (scorer, metadata) pair.
+// states, and a handler loads the pointer once per request, so every
+// response is built from one generation's scorer, fingerprint and rows.
 type modelState struct {
 	scorer   *core.Scorer
 	loadedAt time.Time
+
+	// rows holds every retained domain's response, rendered once at
+	// load: a score is a constant of the model, and formatting it again
+	// on every request was a quarter of a batch request. Row i — the
+	// bytes rows[rowOff[i]:rowOff[i+1]], i being scorer.Index(domain) —
+	// is appendScoreResponse's output for that domain, newline included,
+	// which for a retained domain is also its NDJSON line and, without
+	// the newline, its BatchResponse entry
+	// (TestRenderedRowsMatchEncoders).
+	rows   []byte
+	rowOff []uint32
+}
+
+// row returns retained domain i's pre-rendered response line.
+func (st *modelState) row(i int) []byte {
+	return st.rows[st.rowOff[i]:st.rowOff[i+1]]
+}
+
+// rowSizeHint is the row arena's initial capacity per domain: a row is
+// about 90 bytes of framing and score around the domain name.
+const rowSizeHint = 128
+
+// renderRows builds the row table of one generation.
+func renderRows(sc *core.Scorer) (rows []byte, rowOff []uint32, err error) {
+	domains := sc.Domains()
+	rows = make([]byte, 0, rowSizeHint*len(domains))
+	rowOff = make([]uint32, 1, len(domains)+1)
+	for _, d := range domains {
+		res, _ := sc.Result(d)
+		rows = appendScoreResponse(rows, d, res.Score, res.Label, res.Known, res.Confidence, res.Source)
+		if len(rows) > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("rendered responses of %d domains exceed 4 GiB", len(domains))
+		}
+		rowOff = append(rowOff, uint32(len(rows)))
+	}
+	return rows, rowOff, nil
 }
 
 // Server serves one model file over HTTP. Create with New, expose with
@@ -260,14 +303,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadModel reads cfg.ModelPath into a fresh modelState without
-// touching the served pointer.
+// loadModel reads cfg.ModelPath into a fresh modelState, row table
+// included, without touching the served pointer.
 func (s *Server) loadModel() (*modelState, error) {
 	sc, err := core.LoadScorerFile(s.cfg.ModelPath)
 	if err != nil {
 		return nil, err
 	}
-	return &modelState{scorer: sc, loadedAt: time.Now()}, nil
+	rows, rowOff, err := renderRows(sc)
+	if err != nil {
+		return nil, err
+	}
+	return &modelState{scorer: sc, loadedAt: time.Now(), rows: rows, rowOff: rowOff}, nil
 }
 
 // install publishes a loaded state and its gauges.
@@ -592,23 +639,26 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, domain strin
 	s.mScore.observe(start, code)
 }
 
-// handleScore is the single-domain hot path: one decision-table
-// lookup (or, for domains outside the model, one fold-in cache probe),
-// one pooled buffer encode, zero steady-state allocations.
+// handleScore is the single-domain hot path: one index lookup and the
+// domain's pre-rendered row written as is (or, for domains outside the
+// model, one fold-in cache probe and one pooled buffer encode), zero
+// steady-state allocations.
 //
 //alloccheck:hot
 func (s *Server) handleScore(w http.ResponseWriter, domain string) int {
-	sc := s.Scorer()
-	res, ok := sc.Result(domain)
-	if ok {
+	st := s.model.Load()
+	if i, ok := st.scorer.Index(domain); ok {
 		s.scored.Inc()
-	} else if res, ok = s.foldin.Score(sc, domain, time.Now()); ok {
-		s.countFoldin(res.Source)
-	} else {
+		writeBody(w, http.StatusOK, ctJSON, st.row(i))
+		return http.StatusOK
+	}
+	res, ok := s.foldin.Score(st.scorer, domain, time.Now())
+	if !ok {
 		s.unknown.Inc()
 		s.writeError(w, http.StatusNotFound, codeUnknownDomain, unknownDomainMessage(domain))
 		return http.StatusNotFound
 	}
+	s.countFoldin(res.Source)
 	buf := getBuf()
 	b := appendScoreResponse((*buf)[:0], domain, res.Score, res.Label, res.Known, res.Confidence, res.Source)
 	writeBody(w, http.StatusOK, ctJSON, b)
@@ -661,30 +711,6 @@ type BatchResponse struct {
 	Fingerprint string        `json:"fingerprint"`
 }
 
-// resultsPool recycles the per-batch []core.Result scratch space.
-var resultsPool = sync.Pool{
-	New: func() any {
-		r := make([]core.Result, 0, 512)
-		return &r
-	},
-}
-
-// maxPooledResults bounds the capacity of result buffers returned to
-// the pool, mirroring maxPooledBuf.
-const maxPooledResults = 1 << 16
-
-func getResults() *[]core.Result {
-	return resultsPool.Get().(*[]core.Result)
-}
-
-func putResults(r *[]core.Result) {
-	if cap(*r) > maxPooledResults {
-		return
-	}
-	*r = (*r)[:0]
-	resultsPool.Put(r)
-}
-
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var code int
@@ -700,119 +726,111 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	s.mBatch.observe(start, code)
 }
 
-// handleBatch decodes, validates, scores, and encodes one batch. The
-// request body is the only place this handler can block, so the
-// per-request timeout is enforced there as a connection read deadline
-// (http.TimeoutHandler is gone from this path: it buffers whole
-// responses, which the streamed NDJSON framing must never do).
+// handleBatch reads, decodes, validates, scores, and encodes one batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
-	rc := http.NewResponseController(w)
-	// Recorders and other non-net writers report ErrNotSupported;
-	// requests through a real net/http server get the deadline.
-	_ = rc.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	var req BatchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
-				fmt.Sprintf("batch body exceeds %d bytes", s.cfg.MaxBody))
-			return http.StatusRequestEntityTooLarge
-		}
+	body, code := s.readBody(w, r, "batch")
+	if body == nil {
+		return code
+	}
+	scratch := domainsPool.Get().(*[]string)
+	defer func() {
+		clear(*scratch)
+		domainsPool.Put(scratch)
+	}()
+	domains, err := decodeBatch(scratch, *body, s.cfg.MaxBatch)
+	putBuf(body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad batch request: "+err.Error())
 		return http.StatusBadRequest
 	}
-	if len(req.Domains) > s.cfg.MaxBatch {
+	if len(domains) > s.cfg.MaxBatch {
 		s.writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
-			fmt.Sprintf("batch of %d domains exceeds limit %d", len(req.Domains), s.cfg.MaxBatch))
+			fmt.Sprintf("batch exceeds limit of %d domains", s.cfg.MaxBatch))
 		return http.StatusRequestEntityTooLarge
 	}
-	sc := s.Scorer()
+	st := s.model.Load()
 	if wantsNDJSON(r.Header.Get("Accept")) {
-		return s.writeBatchNDJSON(w, rc, sc, req.Domains)
+		return s.writeBatchNDJSON(w, st, domains)
 	}
-	return s.writeBatchJSON(w, sc, req.Domains)
+	return s.writeBatchJSON(w, st, domains)
+}
+
+// batchCounts tallies one batch's retained and no-evidence domains, so
+// the shared counters take one Add per request instead of one per
+// domain.
+type batchCounts struct{ known, unknown uint64 }
+
+// appendResultLine appends domain's newline-terminated BatchResult: the
+// pre-rendered row for a retained domain; for any other, the fold-in
+// verdict when there is evidence, else the zero entry, encoded on the
+// spot.
+func (s *Server) appendResultLine(b []byte, st *modelState, domain string, now time.Time, n *batchCounts) []byte {
+	if i, ok := st.scorer.Index(domain); ok {
+		n.known++
+		return append(b, st.row(i)...)
+	}
+	var res core.Result
+	if fr, ok := s.foldin.Score(st.scorer, domain, now); ok {
+		res = fr
+		s.countFoldin(res.Source)
+	} else {
+		n.unknown++
+	}
+	b = appendBatchResult(b, domain, res.Score, res.Label, res.Known, res.Confidence, res.Source)
+	return append(b, '\n')
 }
 
 // writeBatchJSON encodes the buffered BatchResponse document into one
 // pooled buffer: byte-identical to encoding/json on the BatchResponse
 // struct, without the per-request encoder machinery.
-func (s *Server) writeBatchJSON(w http.ResponseWriter, sc *core.Scorer, domains []string) int {
-	resPtr := getResults()
-	results := sc.ScoreBatchInto((*resPtr)[:0], domains)
+func (s *Server) writeBatchJSON(w http.ResponseWriter, st *modelState, domains []string) int {
 	now := time.Now()
 	buf := getBuf()
 	b := append((*buf)[:0], `{"results":[`...)
-	var known, unknown uint64
-	for i, res := range results {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		switch {
-		case res.Known:
-			known++
-		default:
-			if fr, ok := s.foldin.Score(sc, domains[i], now); ok {
-				res = fr
-				s.countFoldin(res.Source)
-			} else {
-				unknown++
-			}
-		}
-		b = appendBatchResult(b, domains[i], res.Score, res.Label, res.Known, res.Confidence, res.Source)
+	var n batchCounts
+	for _, d := range domains {
+		// Each line's newline becomes the comma after the entry.
+		b = s.appendResultLine(b, st, d, now, &n)
+		b[len(b)-1] = ','
+	}
+	if len(domains) > 0 {
+		b = b[:len(b)-1]
 	}
 	b = append(b, `],"fingerprint":`...)
-	b = appendJSONString(b, sc.Fingerprint())
+	b = appendJSONString(b, st.scorer.Fingerprint())
 	b = append(b, '}', '\n')
-	s.scored.Add(known)
-	s.unknown.Add(unknown)
+	s.scored.Add(n.known)
+	s.unknown.Add(n.unknown)
 	writeBody(w, http.StatusOK, ctJSON, b)
 	*buf = b
 	putBuf(buf)
-	*resPtr = results
-	putResults(resPtr)
 	return http.StatusOK
 }
 
-const (
-	// ndjsonChunk is how many domains are scored per ScoreBatchInto
-	// sweep while streaming.
-	ndjsonChunk = 512
-	// ndjsonFlushBytes is the buffered-bytes threshold that triggers a
-	// write+flush, bounding the daemon's memory per streamed batch.
-	ndjsonFlushBytes = 32 << 10
-)
+// ndjsonFlushBytes is the buffered-bytes threshold that triggers a
+// write+flush, bounding the daemon's memory per streamed batch. It is
+// sized so that a batch of a few hundred domains (a line is ~110 bytes)
+// leaves in one write: a second write+flush costs such a request more
+// than scoring it does.
+const ndjsonFlushBytes = 64 << 10
 
 // writeBatchNDJSON streams the batch as NDJSON: a fingerprint header
-// line, then one result line per domain, scored and flushed in
-// fixed-size chunks so the whole response never exists in memory.
-func (s *Server) writeBatchNDJSON(w http.ResponseWriter, rc *http.ResponseController, sc *core.Scorer, domains []string) int {
+// line, then one result line per domain, written and flushed whenever
+// ndjsonFlushBytes have gathered so the whole response never exists in
+// memory.
+func (s *Server) writeBatchNDJSON(w http.ResponseWriter, st *modelState, domains []string) int {
+	rc := http.NewResponseController(w)
 	w.Header()["Content-Type"] = ctNDJSON
 	w.WriteHeader(http.StatusOK)
 	buf := getBuf()
 	b := append((*buf)[:0], `{"fingerprint":`...)
-	b = appendJSONString(b, sc.Fingerprint())
+	b = appendJSONString(b, st.scorer.Fingerprint())
 	b = append(b, '}', '\n')
 
-	resPtr := getResults()
-	chunk := *resPtr
 	now := time.Now()
-	var known, unknown uint64
-	for off := 0; off < len(domains); off += ndjsonChunk {
-		end := min(off+ndjsonChunk, len(domains))
-		chunk = sc.ScoreBatchInto(chunk[:0], domains[off:end])
-		for i, res := range chunk {
-			if res.Known {
-				known++
-			} else if fr, ok := s.foldin.Score(sc, domains[off+i], now); ok {
-				res = fr
-				s.countFoldin(res.Source)
-			} else {
-				unknown++
-			}
-			b = appendBatchResult(b, domains[off+i], res.Score, res.Label, res.Known, res.Confidence, res.Source)
-			b = append(b, '\n')
-		}
+	var n batchCounts
+	for _, d := range domains {
+		b = s.appendResultLine(b, st, d, now, &n)
 		if len(b) >= ndjsonFlushBytes {
 			if _, err := w.Write(b); err != nil {
 				// Client went away mid-stream; stop scoring for it.
@@ -827,12 +845,10 @@ func (s *Server) writeBatchNDJSON(w http.ResponseWriter, rc *http.ResponseContro
 		_, _ = w.Write(b)
 		_ = rc.Flush()
 	}
-	s.scored.Add(known)
-	s.unknown.Add(unknown)
+	s.scored.Add(n.known)
+	s.unknown.Add(n.unknown)
 	*buf = b
 	putBuf(buf)
-	*resPtr = chunk
-	putResults(resPtr)
 	return http.StatusOK
 }
 
@@ -881,17 +897,14 @@ func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
 // cache. This is a cold control-plane-shaped path (it allocates); the
 // hot path is the cached Score probe the scoring routes make.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	body, code := s.readBody(w, r, "observe")
+	if body == nil {
+		return code
+	}
 	var req ObserveRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
-				fmt.Sprintf("observe body exceeds %d bytes", s.cfg.MaxBody))
-			return http.StatusRequestEntityTooLarge
-		}
+	err := json.Unmarshal(*body, &req)
+	putBuf(body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad observe request: "+err.Error())
 		return http.StatusBadRequest
 	}

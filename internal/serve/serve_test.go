@@ -261,6 +261,67 @@ func TestReloadUnderFire(t *testing.T) {
 	}
 }
 
+// TestBatchReloadUnderFire is TestReloadUnderFire for the batch route,
+// whose responses are assembled from three things a reload replaces —
+// the fingerprint, the index and the pre-rendered rows: while the model
+// flips between generations, every score in a response must belong to
+// the generation its fingerprint line names.
+func TestBatchReloadUnderFire(t *testing.T) {
+	modelA, modelB, scorerA, scorerB := models(t)
+	s, path := newTestServer(t, modelA, nil)
+	byFingerprint := map[string]*core.Scorer{
+		scorerA.Fingerprint(): scorerA,
+		scorerB.Fingerprint(): scorerB,
+	}
+	if len(byFingerprint) != 2 {
+		t.Fatal("fixture: generations share a fingerprint")
+	}
+	queries := append([]string{"missing.example"}, scorerA.Domains()...)
+	body := marshalBatch(t, queries...)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				req := httptest.NewRequest("POST", "/v1/score/batch", bytes.NewReader(body))
+				req.Header.Set("Accept", NDJSONContentType)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				hdr, results, err := DecodeNDJSON(rec.Body)
+				sc := byFingerprint[hdr.Fingerprint]
+				if rec.Code != http.StatusOK || err != nil || sc == nil || len(results) != len(queries) {
+					t.Errorf("status %d, %d results, fingerprint %q, err %v", rec.Code, len(results), hdr.Fingerprint, err)
+					return
+				}
+				for i, res := range results {
+					want, known := sc.Score(queries[i])
+					if res.Domain != queries[i] || res.Known != known || res.Score != want {
+						t.Errorf("generation %s answered %+v, its scorer says %v (known=%v)", hdr.Fingerprint, res, want, known)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		next := modelB
+		if i%2 == 1 {
+			next = modelA
+		}
+		if err := os.WriteFile(path, next, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Reload(); err != nil {
+			t.Fatalf("reload %d: %v", i, err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
 // TestReloadCorruptKeepsServing: a truncated or garbage replacement
 // file must fail the reload and leave the previous model serving, for
 // both the Reload method and the HTTP endpoint.

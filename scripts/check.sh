@@ -241,6 +241,9 @@ if [ "$fuzztime" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime="$fuzztime" ./internal/stream
     go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime="$fuzztime" ./internal/crcio
     go test -run='^$' -fuzz='^FuzzDecodeNDJSON$' -fuzztime="$fuzztime" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzJSONStringEquivalence$' -fuzztime="$fuzztime" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzBatchRequest$' -fuzztime="$fuzztime" ./internal/serve
+    go test -run='^$' -fuzz='^FuzzObserveBody$' -fuzztime="$fuzztime" ./internal/serve
     go test -run='^$' -fuzz='^FuzzSampleKernel$' -fuzztime="$fuzztime" ./internal/line
 fi
 
