@@ -32,12 +32,17 @@ package core
 // //maldlint:deterministic, and eviction order must replay exactly.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bipartite"
+	"repro/internal/mathx"
 )
 
 // Relation is one observed association between a domain being folded
@@ -91,10 +96,32 @@ func (s *Scorer) newFoldinScratch() *foldinScratch {
 // The result is a pure function of (model, domain, relation set):
 // relations are canonicalized by sorting, so permutations of the same
 // set produce bit-identical Results at any worker count.
+//
+//alloccheck:hot
 func (s *Scorer) ScoreObserved(domain string, relations []Relation) Result {
 	if res, ok := s.Result(domain); ok {
 		return res
 	}
+	return s.foldIn(relations)
+}
+
+// compareRelations is the canonical relation order: view, neighbor,
+// weight.
+func compareRelations(a, b Relation) int {
+	if c := cmp.Compare(a.View, b.View); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Neighbor, b.Neighbor); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Weight, b.Weight)
+}
+
+// foldIn is ScoreObserved past the retained short-circuit: the verdict
+// the relations alone give, whoever they are said to describe.
+//
+//alloccheck:hot
+func (s *Scorer) foldIn(relations []Relation) Result {
 	if len(relations) == 0 {
 		return Result{}
 	}
@@ -104,34 +131,16 @@ func (s *Scorer) ScoreObserved(domain string, relations []Relation) Result {
 	// Canonical relation order: float accumulation is not commutative,
 	// so determinism across callers requires a total order first.
 	rels := append(sc.rels[:0], relations...)
-	sort.Slice(rels, func(i, j int) bool {
-		if rels[i].View != rels[j].View {
-			return rels[i].View < rels[j].View
-		}
-		if rels[i].Neighbor != rels[j].Neighbor {
-			return rels[i].Neighbor < rels[j].Neighbor
-		}
-		return rels[i].Weight < rels[j].Weight
-	})
+	slices.SortFunc(rels, compareRelations)
 	sc.rels = rels
 
 	// Per-view weighted mean of retained neighbor vectors.
 	q := sc.q[:len(s.views)*s.dim]
 	wsum := sc.wsum[:len(s.views)]
-	for i := range q {
-		q[i] = 0
-	}
-	for i := range wsum {
-		wsum[i] = 0
-	}
+	clear(q)
+	clear(wsum)
 	for _, rel := range rels {
-		vi := -1
-		for i, v := range s.views {
-			if v == rel.View {
-				vi = i
-				break
-			}
-		}
+		vi := slices.Index(s.views, rel.View)
 		if vi < 0 {
 			continue
 		}
@@ -143,9 +152,8 @@ func (s *Scorer) ScoreObserved(domain string, relations []Relation) Result {
 		if w <= 0 {
 			w = 1
 		}
-		vec := s.embeddings[rel.View].Vectors[j]
 		block := q[vi*s.dim : (vi+1)*s.dim]
-		for d, x := range vec {
+		for d, x := range s.viewVecs[vi][j] {
 			block[d] += w * x
 		}
 		wsum[vi] += w
@@ -198,7 +206,10 @@ func (s *Scorer) ScoreObserved(domain string, relations []Relation) Result {
 // knnVote finds the foldinK retained domains nearest to q by cosine
 // similarity and returns the positive and negative label vote weights
 // (each neighbor votes max(cos, 0) for its precomputed label) plus the
-// vote-weighted mean of the neighbors' decision values.
+// vote-weighted mean of the neighbors' decision values. The dot
+// products come sixteen retained domains a call from the blocked
+// feature table, each summed left to right over the concatenated
+// views, the order the verdicts were first pinned in.
 func (s *Scorer) knnVote(sc *foldinScratch, q []float64) (posW, negW, knnScore float64) {
 	var qsq float64
 	for _, x := range q {
@@ -211,20 +222,15 @@ func (s *Scorer) knnVote(sc *foldinScratch, q []float64) (posW, negW, knnScore f
 	// Fixed-size descending top-k by insertion; ties keep the earlier
 	// (lower-index) domain, so the selection is deterministic.
 	n := 0
-	for j := range s.domains {
-		fn := s.featNorm[j]
+	var dots [mathx.RowBlock]float64
+	for j, fn := range s.featNorm {
+		if j%mathx.RowBlock == 0 {
+			s.feats.SerialDots(j/mathx.RowBlock, q, &dots)
+		}
 		if fn == 0 {
 			continue
 		}
-		var dot float64
-		for vi, v := range s.views {
-			vec := s.embeddings[v].Vectors[j]
-			block := q[vi*s.dim : (vi+1)*s.dim]
-			for d, x := range vec {
-				dot += x * block[d]
-			}
-		}
-		cos := dot / (qNorm * fn)
+		cos := dots[j%mathx.RowBlock] / (qNorm * fn)
 		if n == foldinK && cos <= sc.sim[n-1] {
 			continue
 		}
@@ -320,6 +326,8 @@ type FoldInCache struct {
 	entries map[string]*foldinEntry
 	queue   []foldinQueued
 	seq     uint64
+
+	recomputes atomic.Uint64
 }
 
 // NewFoldInCache returns an empty cache under cfg's bounds.
@@ -433,6 +441,11 @@ func (c *FoldInCache) Len() int {
 	return len(c.entries)
 }
 
+// Recomputes counts the Score calls that missed the memoized verdict
+// and ran ScoreObserved: against the scores served, the cache's miss
+// ratio.
+func (c *FoldInCache) Recomputes() uint64 { return c.recomputes.Load() }
+
 // Score serves a fold-in Result for domain from its buffered
 // relations, or ok=false when the cache holds no live evidence (never
 // observed, expired, or the relations named no retained neighbor).
@@ -472,18 +485,21 @@ func (c *FoldInCache) scoreSlow(s *Scorer, domain string, now time.Time) (Result
 		c.mu.Unlock()
 		return res, res.Source != ""
 	}
-	rels := append([]Relation(nil), e.rels...)
+	rels, seq := append([]Relation(nil), e.rels...), e.seq
 	c.mu.Unlock()
 
 	// Fold in outside the lock: ScoreObserved can scan the whole
 	// decision table, and concurrent scores of other domains must not
-	// serialize behind it. Racing recomputes of one domain produce
-	// identical Results (ScoreObserved is deterministic), so last-
-	// writer-wins is safe.
+	// serialize behind it. Racing recomputes of one domain over the same
+	// evidence produce identical Results (ScoreObserved is
+	// deterministic), so last-writer-wins is safe among them; a verdict
+	// over evidence an Observe has since replaced (the entry's seq moved,
+	// or the entry is a new one) is returned but not memoized.
+	c.recomputes.Add(1)
 	res := s.ScoreObserved(domain, rels)
 
 	c.mu.Lock()
-	if e2 := c.entries[domain]; e2 != nil {
+	if e2 := c.entries[domain]; e2 != nil && e2.seq == seq {
 		e2.res = res
 		e2.resScorer = s
 	}

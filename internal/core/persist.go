@@ -23,6 +23,7 @@ import (
 	"repro/internal/crcio"
 	"repro/internal/faultio"
 	"repro/internal/line"
+	"repro/internal/mathx"
 	"repro/internal/svm"
 )
 
@@ -207,10 +208,14 @@ type Scorer struct {
 	scores []float64
 	labels []int8
 
-	// featNorm is the L2 norm of each retained domain's feature vector
-	// over the classifier's views, precomputed for the fold-in kNN's
-	// cosine similarities (foldin.go).
+	// feats holds each retained domain's feature vector over the
+	// classifier's views a second time, blocked for the fold-in kNN's
+	// sweep (foldin.go; 8·len(views)·dim bytes a domain), featNorm its L2
+	// norm for the cosine similarities, and viewVecs the embedding rows
+	// of views[i], which the fold-in averages.
+	feats    *mathx.RowTable
 	featNorm []float64
+	viewVecs [][][]float64
 
 	// foldinPool recycles ScoreObserved's scratch space (foldin.go).
 	foldinPool sync.Pool
@@ -312,15 +317,22 @@ func (s *Scorer) read(cr io.Reader) (bool, error) {
 // retained domain, through the same AppendFeatureVector + Decision
 // path a per-call Score would take, so serving reads are bit-identical
 // to on-demand evaluation. One feature buffer is reused across the
-// whole sweep; the table itself (16 B + 1 B per domain) is the only
-// allocation that scales with the model.
+// whole sweep; the table (16 B + 1 B per domain) and the fold-in's
+// blocked copy of the feature vectors (feats) are the allocations that
+// scale with the model.
 func (s *Scorer) precompute() {
 	s.scores = make([]float64, len(s.domains))
 	s.labels = make([]int8, len(s.domains))
 	s.featNorm = make([]float64, len(s.domains))
+	s.feats = mathx.NewRowTable(len(s.domains), len(s.views)*s.dim)
+	s.viewVecs = make([][][]float64, len(s.views))
+	for vi, v := range s.views {
+		s.viewVecs[vi] = s.embeddings[v].Vectors
+	}
 	buf := make([]float64, 0, len(s.views)*s.dim)
 	for i := range s.domains {
 		buf = s.appendFeaturesAt(buf[:0], i, s.views)
+		s.feats.SetRow(i, buf)
 		sc := s.clf.Decision(buf)
 		s.scores[i] = sc
 		if sc > 0 {

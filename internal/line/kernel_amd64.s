@@ -220,26 +220,3 @@ addtail:
 done:
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX() bool
-//
-// CPUID.1:ECX bit 28 (AVX) and bit 27 (OSXSAVE), then XCR0 bits 1-2:
-// the OS saves XMM and YMM state across context switches.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

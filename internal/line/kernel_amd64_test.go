@@ -14,7 +14,7 @@ import (
 // the init-time choice. It skips when the machine cannot run it.
 func withKernel(t testing.TB, avx bool, f func()) {
 	t.Helper()
-	if !cpuHasAVX() {
+	if !mathx.CPUHasAVX() {
 		t.Skip("CPU or OS without AVX: the pure-Go sample is the only path here")
 	}
 	defer func(was bool) { useAVX = was }(useAVX)

@@ -173,6 +173,23 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.get("", func() metric { return new(Counter) }).(*Counter)
 }
 
+// counterFunc is a counter whose owner keeps the count: read runs at
+// every exposition.
+type counterFunc func() uint64
+
+func (c counterFunc) expose(b *strings.Builder, name, labels string) {
+	fmt.Fprintf(b, "%s%s %d\n", name, braced(labels), c())
+}
+
+// CounterFunc registers the unlabeled counter family name as a view of
+// a count kept elsewhere: read, which must be monotonic and safe for
+// concurrent use, is called at every exposition. Like Counter it is
+// idempotent; the first registration's read stays.
+func (r *Registry) CounterFunc(name, help string, read func() uint64) {
+	f := r.register(name, help, "counter", nil)
+	f.get("", func() metric { return counterFunc(read) })
+}
+
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 

@@ -27,6 +27,12 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("gauge = %v, want 1.5", g.Value())
 	}
 
+	// A counter kept by its owner is read at exposition, not at
+	// registration.
+	var misses uint64
+	r.CounterFunc("misses_total", "cache misses", func() uint64 { return misses })
+	misses = 7
+
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
 	out := buf.String()
@@ -34,6 +40,8 @@ func TestCounterAndGauge(t *testing.T) {
 		"# HELP jobs_total total jobs",
 		"# TYPE jobs_total counter",
 		"jobs_total 5",
+		"# TYPE misses_total counter",
+		"misses_total 7",
 		"# TYPE queue_depth gauge",
 		"queue_depth 1.5",
 	} {

@@ -140,7 +140,9 @@ func TestObserveScoreRoundTrip(t *testing.T) {
 	for _, wantLine := range []string{
 		"maldomain_foldin_observations_total 1",
 		"maldomain_foldin_cache_entries 1",
-		fmt.Sprintf("maldomain_foldin_scores_total{source=%q}", want.Source),
+		fmt.Sprintf("maldomain_foldin_scores_total{source=%q} 3", want.Source),
+		"maldomain_foldin_recomputes_total 1", // one cold score, then the memoized verdict twice
+
 	} {
 		if !strings.Contains(out, wantLine) {
 			t.Errorf("metrics missing %q", wantLine)

@@ -284,6 +284,9 @@ func New(cfg Config) (*Server, error) {
 			TTL:        cfg.FoldInTTL,
 		})
 	}
+	reg.CounterFunc("maldomain_foldin_recomputes_total",
+		"Fold-in scores that missed the memoized verdict and recomputed it; against maldomain_foldin_scores_total, the cache's miss ratio.",
+		s.foldin.Recomputes)
 	s.mScore = s.newRouteMetrics("/v1/score")
 	s.mBatch = s.newRouteMetrics("/v1/score/batch")
 	s.mObserve = s.newRouteMetrics("/v1/observe")

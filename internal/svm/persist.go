@@ -61,6 +61,12 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("svm: corrupt model: %d SVs vs %d coefficients",
 			len(m.svX), len(m.svCoef))
 	}
+	for i, sv := range m.svX {
+		if len(sv) != len(m.svX[0]) {
+			return nil, fmt.Errorf("svm: corrupt model: support vector %d has dimension %d, the first %d",
+				i, len(sv), len(m.svX[0]))
+		}
+	}
 	m.initFastPath()
 	return m, nil
 }

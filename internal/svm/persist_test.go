@@ -2,6 +2,7 @@ package svm
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -38,5 +39,19 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 func TestLoadModelRejectsGarbage(t *testing.T) {
 	if _, err := LoadModel(strings.NewReader("not a gob stream")); err == nil {
 		t.Fatal("garbage stream accepted")
+	}
+}
+
+// TestLoadModelRejectsRaggedVectors: support vectors of unequal length
+// are a corrupt file, reported at load rather than by a panic when the
+// decision table is built.
+func TestLoadModelRejectsRaggedVectors(t *testing.T) {
+	var buf bytes.Buffer
+	wire := modelWire{KernelName: "rbf", Gamma: 0.5, SVX: [][]float64{{1, 2}, {3}}, SVCoef: []float64{1, -1}}
+	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(&buf); err == nil || !strings.Contains(err.Error(), "support vector 1") {
+		t.Fatalf("ragged support vectors: error %v", err)
 	}
 }

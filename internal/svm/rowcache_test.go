@@ -3,6 +3,8 @@ package svm
 import (
 	"math"
 	"testing"
+
+	"repro/internal/mathx"
 )
 
 // takeRow registers key i and stamps the returned buffer with v so tests
@@ -114,6 +116,39 @@ func TestDecisionFastPathMatchesReference(t *testing.T) {
 		}
 		if diff := math.Abs(got - want); diff > 1e-7*(1+math.Abs(want)) {
 			t.Fatalf("fast-path decision %v vs reference %v (diff %v)", got, want, diff)
+		}
+	}
+}
+
+// TestDecisionMatchesDotLoop holds the blocked-table decision, kernel
+// on and off, to the loop it replaced — one mathx.Dot and one ExpNeg a
+// support vector, summed in index order — bit for bit: decision values
+// are what model hashes, served rows and alert feeds are made of. The
+// sizes leave a partial last block and a dimension with a mod-4 tail.
+func TestDecisionMatchesDotLoop(t *testing.T) {
+	X, y := blobs(150, 7, 41)
+	m, err := Train(X, y, Config{C: 1, Kernel: RBF{Gamma: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumSV()%mathx.RowBlock == 0 {
+		t.Fatalf("%d support vectors fill their last block; change the fixture", m.NumSV())
+	}
+	defer mathx.UseRowKernel(mathx.UseRowKernel(false))
+	for _, kernel := range []bool{false, true} {
+		mathx.UseRowKernel(kernel)
+		for _, x := range X {
+			want, nx := m.b, mathx.SquaredNorm(x)
+			for i, sv := range m.svX {
+				d := m.svNorm[i] + nx - 2*mathx.Dot(sv, x)
+				if d < 0 {
+					d = 0
+				}
+				want += m.svCoef[i] * mathx.ExpNeg(-m.rbfGamma*d)
+			}
+			if got := m.Decision(x); got != want {
+				t.Fatalf("kernel %v: Decision %v, the Dot loop gives %v", kernel, got, want)
+			}
 		}
 	}
 }

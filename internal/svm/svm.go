@@ -100,26 +100,31 @@ type Model struct {
 
 	// RBF decision fast path (see initFastPath): per-SV squared norms so
 	// Decision needs one dot product per support vector instead of a
-	// subtract-square distance pass.
+	// subtract-square distance pass, and the support vectors again as a
+	// blocked table so those dot products come sixteen a call.
 	rbf      bool
 	rbfGamma float64
 	svNorm   []float64
+	svTable  *mathx.RowTable
 }
 
 // initFastPath precomputes the per-support-vector squared norms that let
-// RBF decisions use ‖sv−x‖² = ‖sv‖²+‖x‖²−2·sv·x. Called once after
-// training or deserialization; models are immutable afterwards, so the
-// cached norms stay valid.
+// RBF decisions use ‖sv−x‖² = ‖sv‖²+‖x‖²−2·sv·x, and copies the support
+// vectors into a mathx.RowTable (8·dim bytes each, beside svX, which
+// Save and the other kernels read). Called once after training or
+// deserialization; models are immutable afterwards, so both stay valid.
 func (m *Model) initFastPath() {
 	rbf, ok := m.kernel.(RBF)
-	if !ok {
+	if !ok || len(m.svX) == 0 {
 		return
 	}
 	m.rbf = true
 	m.rbfGamma = rbf.Gamma
 	m.svNorm = make([]float64, len(m.svX))
+	m.svTable = mathx.NewRowTable(len(m.svX), len(m.svX[0]))
 	for i, sv := range m.svX {
 		m.svNorm[i] = mathx.SquaredNorm(sv)
+		m.svTable.SetRow(i, sv)
 	}
 }
 
@@ -216,8 +221,14 @@ func (m *Model) Decision(x []float64) float64 {
 	s := m.b
 	if m.rbf {
 		nx := mathx.SquaredNorm(x)
-		for i, sv := range m.svX {
-			d := m.svNorm[i] + nx - 2*mathx.Dot(sv, x)
+		// dots[r] is mathx.Dot(svX[i], x) to the bit, for the sixteen
+		// support vectors of one block at a time.
+		var dots [mathx.RowBlock]float64
+		for i := range m.svX {
+			if i%mathx.RowBlock == 0 {
+				m.svTable.Dots(i/mathx.RowBlock, x, &dots)
+			}
+			d := m.svNorm[i] + nx - 2*dots[i%mathx.RowBlock]
 			if d < 0 { // rounding guard; true squared distances are >= 0
 				d = 0
 			}

@@ -4,8 +4,9 @@
 #
 # Functions annotated with a `//alloccheck:hot` comment line (directly
 # above the declaration, in the packages listed below) are the
-# per-request hot path of the serving daemon (Scorer lookups and the
-# daemon's score handler), the per-event e2LD extraction of ingest, and
+# per-request hot path of the serving daemon (Scorer lookups, the cold
+# fold-in behind a cache miss and the daemon's score handler), the
+# per-event e2LD extraction of ingest, and
 # the per-sample work of LINE training (matrix.sample and matrix.step in
 # both build variants — only the one this build compiles can report
 # escapes — and AliasTable.Sample).

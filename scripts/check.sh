@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the tier-1+ correctness gate for this repository.
 #
-# Runs, in order: formatting, go vet, build (and a vet of internal/line as
-# arm64 sees it, without the AVX kernel), the sealed-file gate, the
+# Runs, in order: formatting, go vet, build (and a vet, as arm64 sees
+# them, without the AVX kernels, of the packages that have or call one),
+# the sealed-file gate, the
 # maldlint static analyzer (against the committed baseline, plus a -json
 # schema smoke), the escape-analysis gate for the scoring, ingest and SGD
 # hot paths (scripts/alloccheck.sh against its committed baseline), the full
@@ -41,8 +42,8 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> GOARCH=arm64 go vet ./internal/line (the build without the AVX kernel)"
-GOARCH=arm64 go vet ./internal/line
+echo "==> GOARCH=arm64 go vet (the build without the AVX kernels)"
+GOARCH=arm64 go vet ./internal/line ./internal/mathx ./internal/svm ./internal/core
 
 echo "==> sealed-file gate (framing and commit live in internal/crcio only)"
 if grep -rnE '(CreateTemp|\.Rename|crcio\.New(Writer|Reader))\(' --include='*.go' . |
@@ -245,6 +246,7 @@ if [ "$fuzztime" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzBatchRequest$' -fuzztime="$fuzztime" ./internal/serve
     go test -run='^$' -fuzz='^FuzzObserveBody$' -fuzztime="$fuzztime" ./internal/serve
     go test -run='^$' -fuzz='^FuzzSampleKernel$' -fuzztime="$fuzztime" ./internal/line
+    go test -run='^$' -fuzz='^FuzzRowDots$' -fuzztime="$fuzztime" ./internal/mathx
 fi
 
 echo "==> all checks passed"
