@@ -187,7 +187,7 @@ func ablationAUC(b *testing.B, env *experiments.Env, minSim float64, prune bipar
 	}
 	emb, err := line.Train(g, line.Config{
 		Dim: dim, Order: order, Negatives: negatives,
-		Samples: 2_000_000, Seed: 5, Workers: 0,
+		Samples: 2_000_000, Seed: 5,
 	})
 	if err != nil {
 		b.Fatal(err)

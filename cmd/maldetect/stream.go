@@ -8,7 +8,8 @@ package main
 // checkpoint and produces a byte-identical feed: the feed is truncated
 // to the checkpointed offset, the trace is replayed (the restored
 // detector ignores already-covered days), and the remaining boundaries
-// re-run deterministically (-workers 1, fixed seed).
+// re-run deterministically (a build is a pure function of its window,
+// flags and seed).
 
 import (
 	"bufio"
@@ -103,7 +104,6 @@ func runStream(args []string) error {
 		window    = fs.Int("window", 2, "rolling window in days")
 		dim       = fs.Int("dim", 16, "embedding dimension")
 		samples   = fs.Int("samples", 0, "LINE SGD sample budget (0 = auto)")
-		workers   = fs.Int("workers", 1, "model-build parallelism (1 keeps resumed runs bit-identical)")
 		feedPath  = fs.String("feed", "alerts.tsv", "alert feed output (TSV: day, domain, score)")
 		ckptPath  = fs.String("checkpoint", "", "checkpoint file: written after every day boundary, resumed from on start")
 		shards    = fs.Int("shards", 1,
@@ -138,7 +138,6 @@ func runStream(args []string) error {
 			Seed:         *seed,
 			EmbedDim:     *dim,
 			EmbedSamples: *samples,
-			Workers:      *workers,
 			DHCP:         resolver,
 			Embedder:     sel.embedder,
 			Classifier:   sel.classifier,

@@ -19,10 +19,7 @@
 //	                   -tags=... is honored too)
 //
 // With no arguments (or "./...") the whole module is analyzed, in
-// parallel, each package type-checked exactly once. Unless the race tag
-// was requested explicitly, a second pass under -tags race analyzes the
-// race-gated halves of tag-paired files (internal/line's hogwild split)
-// and reports findings only from files the default pass did not see.
+// parallel, each package type-checked exactly once.
 //
 // Findings can be silenced inline, one line above or on the offending
 // line, with
@@ -105,16 +102,6 @@ func run(args []string, stdout *os.File) int {
 	}
 
 	diags, loadFailed := analyze(loader, runner, paths)
-
-	// Second pass under the race tag: tag-paired files (the hogwild
-	// split) are invisible to the default tag set, so analyze the gated
-	// packages again with race on and keep only findings from files the
-	// first pass never parsed.
-	if !hasTag(tags, "race") {
-		raceDiags, raceFailed := raceTagPass(runner, tags, paths)
-		diags = append(diags, raceDiags...)
-		loadFailed = loadFailed || raceFailed
-	}
 
 	findings := lint.ToJSON(relativizeAll(loader.ModRoot, diags))
 
@@ -228,74 +215,6 @@ func analyze(loader *lint.Loader, runner *lint.Runner, paths []string) (diags []
 		diags = append(diags, runner.Run(pkg)...)
 	}
 	return diags, failed
-}
-
-// raceTagPass analyzes the race-gated packages under -tags race and
-// returns only findings from files the default tag set excluded.
-func raceTagPass(runner *lint.Runner, baseTags []string, paths []string) ([]lint.Diagnostic, bool) {
-	probe, err := lint.NewLoaderTags(".", baseTags)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "maldlint:", err)
-		return nil, true
-	}
-	gated, err := probe.GatedPackages("race")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "maldlint:", err)
-		return nil, true
-	}
-	gated = intersect(gated, paths)
-	if len(gated) == 0 {
-		return nil, false
-	}
-	// Files the default pass analyzed: findings there would be
-	// duplicates.
-	defaultFiles := make(map[string]bool)
-	pkgs, _ := probe.LoadAll(gated)
-	for _, pkg := range pkgs {
-		if pkg == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			defaultFiles[probe.Fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	raceLoader, err := lint.NewLoaderTags(".", append(append([]string{}, baseTags...), "race"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "maldlint:", err)
-		return nil, true
-	}
-	rpkgs, errs := raceLoader.LoadAll(gated)
-	var out []lint.Diagnostic
-	failed := false
-	for i, pkg := range rpkgs {
-		if errs[i] != nil {
-			fmt.Fprintln(os.Stderr, "maldlint (race pass):", errs[i])
-			failed = true
-			continue
-		}
-		for _, d := range runner.Run(pkg) {
-			if !defaultFiles[d.Pos.Filename] {
-				out = append(out, d)
-			}
-		}
-	}
-	return out, failed
-}
-
-// intersect keeps the elements of a that also appear in b, preserving
-// a's order.
-func intersect(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
-	var out []string
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // buildTags merges the -tags flag with any -tags=... directive in

@@ -35,7 +35,6 @@ func (e lineEmbedder) Train(g *graph.Weighted, spec EmbedSpec) (*Embedding, erro
 		Dim:     spec.Dim,
 		Order:   e.order,
 		Samples: spec.Samples,
-		Workers: spec.Workers,
 		Seed:    spec.Seed,
 		Init:    spec.Init,
 	})
@@ -54,7 +53,6 @@ func (mfEmbedder) Train(g *graph.Weighted, spec EmbedSpec) (*Embedding, error) {
 	emb, err := mfembed.Train(g, mfembed.Config{
 		Dim:     spec.Dim,
 		Samples: spec.Samples,
-		Workers: spec.Workers,
 		Seed:    spec.Seed,
 		Init:    spec.Init,
 	})

@@ -78,8 +78,8 @@ type Config struct {
 	// shapes classifier feature vectors.
 	Views string
 
-	// Workers bounds parallelism in projection and embedding (0 = all
-	// cores).
+	// Workers bounds parallelism in projection (0 = all cores); the
+	// model is byte-identical at any count.
 	Workers int
 	// Seed drives every stochastic stage.
 	Seed uint64

@@ -64,12 +64,11 @@ func labeledSet(t testing.TB, d *Detector, ti *threatintel.Service) (domains []s
 	return ti.LabeledSet(all)
 }
 
-// skipIfRace skips model-building tests under the race detector: the
-// LINE SGD inside BuildModel performs hundreds of millions of atomic
-// operations, which instrumentation slows past the default per-package
-// test timeout. The pipeline's concurrent components (bipartite
-// projection, LINE workers, x-means) have fast package-level tests
-// that do run under -race; core itself orchestrates them sequentially.
+// skipIfRace skips model-building tests under the race detector:
+// instrumented full-model builds add up to some five minutes for this
+// package. The pipeline's concurrent components (bipartite projection,
+// x-means) have fast package-level tests that do run under -race; core
+// itself orchestrates them sequentially.
 func skipIfRace(t testing.TB) {
 	t.Helper()
 	if race.Enabled {

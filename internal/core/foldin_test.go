@@ -479,11 +479,11 @@ func TestScoreObservedSameAcrossKernels(t *testing.T) {
 // second is there because the first can be vacuous: at the paper's
 // C = 0.09 the zero threshold may put every retained domain on the
 // benign side (the test logs how many it does not), while the rolling
-// detector alerts by rank, on the top 5 % of the table. The embeddings
-// underneath are hogwild-trained, so the bounds leave room around the
-// values measured over six builds (label agreement 1.000 with no
-// retained domain labelled malicious, same side 0.940-0.947, median gap
-// 0.048-0.051).
+// detector alerts by rank, on the top 5 % of the table. The bounds
+// leave room around the values the build reads (label agreement 1.000
+// with no retained domain labelled malicious, same side 0.944, median
+// gap 0.047), so a change to the scenario or the sample budget need
+// not re-pin them.
 func TestFoldInRetainedAgreement(t *testing.T) {
 	sc, d := smallScorer(t)
 	ranked := append([]float64(nil), sc.scores...)

@@ -23,8 +23,8 @@ import (
 const goldenModelSHA256 = "babb19a785f075ccd77f8bd6619c3a6a5eede35c3d3f9c676467549c15ab0185"
 
 // goldenModel trains the fixed tiny fixture — 8 domains, 3 hosts,
-// deterministic timestamps, Workers=1, seed 42.
-func goldenModel(t *testing.T) (*Detector, *Classifier) {
+// deterministic timestamps, seed 42 — at the given Config.Workers.
+func goldenModel(t *testing.T, workers int) (*Detector, *Classifier) {
 	t.Helper()
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	det := NewDetector(Config{
@@ -33,7 +33,7 @@ func goldenModel(t *testing.T) (*Detector, *Classifier) {
 		EmbedDim:     4,
 		EmbedSamples: 20_000,
 		Seed:         42,
-		Workers:      1,
+		Workers:      workers,
 	})
 	for i := 0; i < 8; i++ {
 		for h := 0; h < 3; h++ {
@@ -66,9 +66,9 @@ func goldenModel(t *testing.T) (*Detector, *Classifier) {
 }
 
 // goldenModelBytes returns the fixture's serialized model file.
-func goldenModelBytes(t *testing.T) []byte {
+func goldenModelBytes(t *testing.T, workers int) []byte {
 	t.Helper()
-	det, clf := goldenModel(t)
+	det, clf := goldenModel(t, workers)
 	var buf bytes.Buffer
 	if err := det.SaveModel(&buf, clf); err != nil {
 		t.Fatalf("SaveModel: %v", err)
@@ -77,12 +77,14 @@ func goldenModelBytes(t *testing.T) []byte {
 }
 
 // TestGoldenModelBytes pins the default-path model file bytes across
-// the registry refactor.
+// the registry refactor, at any Config.Workers.
 func TestGoldenModelBytes(t *testing.T) {
-	b := goldenModelBytes(t)
-	got := fmt.Sprintf("%x", sha256.Sum256(b))
-	if got != goldenModelSHA256 {
-		t.Fatalf("model bytes changed: sha256 %s (len %d), want %s", got, len(b), goldenModelSHA256)
+	for _, workers := range []int{1, 8} {
+		b := goldenModelBytes(t, workers)
+		got := fmt.Sprintf("%x", sha256.Sum256(b))
+		if got != goldenModelSHA256 {
+			t.Fatalf("Workers %d: model bytes changed: sha256 %s (len %d), want %s", workers, got, len(b), goldenModelSHA256)
+		}
 	}
 }
 
@@ -94,7 +96,7 @@ func TestGoldenModelBytes(t *testing.T) {
 // reporting Source "model" at Confidence 1 through the new Result
 // surface.
 func TestGoldenModelVersionCompat(t *testing.T) {
-	v2 := goldenModelBytes(t)
+	v2 := goldenModelBytes(t, 1)
 	ref, err := LoadScorer(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("golden v2 stream refused: %v", err)
@@ -102,7 +104,7 @@ func TestGoldenModelVersionCompat(t *testing.T) {
 
 	// The fixture's live state, to hand-write the v1 and v3 layouts
 	// around the same embeddings and classifier.
-	det, clf := goldenModel(t)
+	det, clf := goldenModel(t, 1)
 
 	hdr := modelHeader{
 		Magic:       modelMagic,

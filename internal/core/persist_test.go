@@ -289,7 +289,7 @@ func TestModelPersistFaultInjection(t *testing.T) {
 // `maldetect train -out m.bin` over an existing m.bin leaves the previous
 // model byte-identical and loadable, and litters no temp files.
 func TestSaveModelFileFaults(t *testing.T) {
-	det, clf := goldenModel(t)
+	det, clf := goldenModel(t, 1)
 	wrap := func(fw func(io.Writer, int64) io.Writer) *faultio.Faults {
 		return &faultio.Faults{WrapWriter: func(w io.Writer) io.Writer { return fw(w, 64) }}
 	}

@@ -14,10 +14,9 @@ package core
 //
 // Registry contract for backends (see DESIGN.md §S30):
 //
-//   - Determinism: with Workers ≤ 1 in the spec, Train/Fit must be a
-//     pure function of (inputs, seed) — the streaming mode's
-//     crash-recovery guarantee replays builds and compares feeds
-//     byte-for-byte.
+//   - Determinism: Train/Fit must be a pure function of (inputs,
+//     seed) — the streaming mode's crash-recovery guarantee replays
+//     builds and compares feeds byte-for-byte.
 //   - Warm start: an Embedder must honor EmbedSpec.Init (nil rows =
 //     cold start for that vertex) or ignore it entirely; it must never
 //     mutate the init rows, which alias the previous window's live
@@ -59,8 +58,6 @@ type EmbedSpec struct {
 	// Samples overrides the backend's automatic sample budget (0 =
 	// auto).
 	Samples int
-	// Workers bounds parallelism; 1 must make training deterministic.
-	Workers int
 	// Seed drives initialization and sampling; it is already mixed
 	// per-view by the stage runner.
 	Seed uint64

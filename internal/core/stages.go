@@ -199,7 +199,6 @@ func stageEmbed(view bipartite.View) func(*Detector, *buildArtifacts, *StageRepo
 		emb, err := a.embedder.Train(g, EmbedSpec{
 			Dim:     d.cfg.EmbedDim,
 			Samples: d.cfg.EmbedSamples,
-			Workers: d.cfg.Workers,
 			Seed:    d.cfg.Seed ^ uint64(view)*0x9e3779b97f4a7c15,
 			Init:    init,
 		})

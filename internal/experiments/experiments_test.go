@@ -17,11 +17,10 @@ var (
 )
 
 // skipIfRace skips environment-building tests under the race detector:
-// Build trains LINE embeddings whose hogwild SGD performs hundreds of
-// millions of atomic operations, which instrumentation slows past the
-// default per-package test timeout. The concurrent components
-// (bipartite, line, xmeans) have fast package-level -race tests; this
-// package orchestrates them sequentially.
+// instrumented full-model builds add up to about a minute for this
+// package. The concurrent components (bipartite, xmeans) have fast
+// package-level -race tests; this package orchestrates them
+// sequentially.
 func skipIfRace(t testing.TB) {
 	t.Helper()
 	if race.Enabled {

@@ -1,7 +1,6 @@
 package line
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,26 +36,21 @@ func benchGraph(n, avgDeg int, seed uint64) *graph.Weighted {
 	return g
 }
 
-// BenchmarkLINETrainOrder measures raw SGD throughput for each objective
-// at Workers=1 (the deterministic configuration) and Workers=GOMAXPROCS
-// (the hogwild configuration), reporting samples/sec — the package-level
-// view of the ledger's line.samples_per_s. The Dim 16 case is
-// the streaming detector's shape: both objectives at half-dim 8, two
-// vectors a row.
+// BenchmarkLINETrainOrder measures raw SGD throughput for each
+// objective, reporting samples/sec — the package-level view of the
+// ledger's line.samples_per_s. The Dim 16 case is the streaming
+// detector's shape: both objectives at half-dim 8, two vectors a row.
 func BenchmarkLINETrainOrder(b *testing.B) {
 	g := benchGraph(1000, 16, 99)
 	const samples = 500_000
 	cases := []struct {
-		name    string
-		order   Order
-		dim     int
-		workers int
+		name  string
+		order Order
+		dim   int
 	}{
-		{"first/workers=1", OrderFirst, 32, 1},
-		{"first/workers=max", OrderFirst, 32, runtime.GOMAXPROCS(0)},
-		{"second/workers=1", OrderSecond, 32, 1},
-		{"second/workers=max", OrderSecond, 32, runtime.GOMAXPROCS(0)},
-		{"both/dim=16/workers=1", OrderBoth, 16, 1},
+		{"first", OrderFirst, 32},
+		{"second", OrderSecond, 32},
+		{"both/dim=16", OrderBoth, 16},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -67,7 +61,6 @@ func BenchmarkLINETrainOrder(b *testing.B) {
 					Order:   tc.order,
 					Samples: samples,
 					Seed:    42,
-					Workers: tc.workers,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -1,8 +1,8 @@
-//go:build amd64 && !race
+//go:build amd64
 
 #include "textflag.h"
 
-// The AVX form of matrix.sample (matrix_norace.go states the contract):
+// The AVX form of matrix.sample (matrix.go states the contract):
 // one whole SGD sample a call. A row is walked as dim&^3 elements in
 // 32-byte vectors, then dim&3 scalars. Lane j of a vector is element
 // i+j, so lane j of the dot product's accumulator is the Go loop's sj.

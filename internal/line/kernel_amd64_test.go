@@ -1,4 +1,4 @@
-//go:build amd64 && !race
+//go:build amd64
 
 package line
 
@@ -91,7 +91,7 @@ func TestSampleKernelSigmoid(t *testing.T) {
 }
 
 // TestTrainSameAcrossKernels trains whole embeddings with the kernel on
-// and off: at Workers=1 the switch must not move a bit.
+// and off: the switch must not move a bit.
 func TestTrainSameAcrossKernels(t *testing.T) {
 	for _, dim := range []int{32, 16, 10, 6} {
 		for _, warm := range []bool{false, true} {

@@ -11,21 +11,11 @@
 // positive example, and draws K negative vertices from the noise
 // distribution P(v) ∝ deg(v)^0.75 (§5.2, Eqs. 4-6).
 //
-// Optimization is asynchronous (hogwild-style): workers update the shared
-// embedding matrices without locking. The matrix storage is selected by
-// build tag (see matrix_norace.go / matrix_race.go): normal builds on
-// 64-bit platforms (amd64/arm64, where aligned float64 accesses never
-// tear) use a plain []float64 with genuinely unsynchronized hogwild
-// updates — the reference implementation's scheme — while race-detector
-// builds and other architectures swap in an atomic bit-pattern matrix,
-// so `go test -race` stays clean and 32-bit builds stay torn-free. The
-// production hogwild path is thus intentionally exempt from race
-// checking: the detector exercises the atomic variant. Colliding
-// updates may lose an increment in either variant, which is exactly the
-// perturbation hogwild SGD tolerates. With Workers=1 training is fully
-// deterministic in the seed.
+// The trainer is sequential: one goroutine, one generator, one pass
+// over the sample budget, so an embedding is a pure function of (graph,
+// Config) on every host and at every core count.
 //
-// The unit of work is the sample. A worker draws an edge, a direction
+// The unit of work is the sample. The loop draws an edge, a direction
 // and the sample's targets — the positive vertex, then the negatives —
 // and hands them to matrix.sample in one call: copy the source row, zero
 // its gradient, for each target score the source against the target row
@@ -33,15 +23,15 @@
 // add the gradient to the source row. Drawing every target before any
 // row moves changes nothing: the arithmetic consumes no randomness, so
 // the generator sees the same calls in the same order as when draws and
-// steps alternated. sample has one contract (stated on matrix_norace.go's
-// sample) and three implementations that agree bit for bit: a pure-Go
-// loop over step, the atomic loop of race builds, and on amd64 CPUs with
-// AVX one assembly kernel (kernel_amd64.s) that does the whole sample —
-// the dot product's four accumulators as the four lanes of a vector
-// register, mathx.FastSigmoid's table lookup inline — without returning
-// to Go. Which one runs is decided by the build and, for AVX, once at
-// start-up from CPUID; there is nothing to configure, and a model does
-// not record which one trained it because it cannot tell.
+// steps alternated. sample has one contract (stated on matrix.go's
+// sample) and two implementations that agree bit for bit: a pure-Go
+// loop over step, and on amd64 CPUs with AVX one assembly kernel
+// (kernel_amd64.s) that does the whole sample — the dot product's four
+// accumulators as the four lanes of a vector register,
+// mathx.FastSigmoid's table lookup inline — without returning to Go.
+// Which one runs is decided once at start-up from CPUID; there is
+// nothing to configure, and a model does not record which one trained
+// it because it cannot tell.
 //
 // The loop around it avoids per-sample transcendental and bookkeeping
 // costs: the logistic function is a 1024-interval lookup table
@@ -58,8 +48,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -86,9 +74,9 @@ type Config struct {
 	Dim int
 	// Order selects the proximity objective (default OrderBoth).
 	Order Order
-	// Samples is the total number of SGD edge samples across all
-	// workers. Default 200 × edge count, clamped to [200k, 30M] so
-	// month-scale projection graphs stay tractable.
+	// Samples is the number of SGD edge samples. Default 200 × edge
+	// count, clamped to [200k, 30M] so month-scale projection graphs
+	// stay tractable.
 	Samples int
 	// Negatives is the number of negative samples per positive edge
 	// (default 5).
@@ -96,9 +84,6 @@ type Config struct {
 	// InitialLR is the starting learning rate, decayed linearly over
 	// training and floored at 0.01% of itself (default 0.025).
 	InitialLR float64
-	// Workers bounds parallelism (default GOMAXPROCS). Training is
-	// deterministic only when Workers is 1.
-	Workers int
 	// Seed drives initialization and sampling.
 	Seed uint64
 	// Init optionally warm-starts training: when non-nil it must have one
@@ -146,9 +131,6 @@ func (c Config) withDefaults(edgeCount int) (Config, error) {
 	}
 	if c.InitialLR <= 0 {
 		c.InitialLR = 0.025
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c, nil
 }
@@ -287,80 +269,60 @@ func trainOrder(g *graph.Weighted, cfg Config, secondOrder bool, initOff int) ([
 		tgt = newMatrix(g.N, cfg.Dim) // context matrix starts at zero
 	}
 
-	var wg sync.WaitGroup
+	// Sampling draws from root's first split, taken after the
+	// initialization consumed root: the stream every pinned embedding
+	// and model hash was recorded on.
+	rng := root.Split()
+	src := make([]float64, cfg.Dim)
+	grad := make([]float64, cfg.Dim)
+	targets := make([]int32, 0, 1+cfg.Negatives)
 	total := float64(cfg.Samples)
-	for w := 0; w < cfg.Workers; w++ {
-		first, steps := workerShare(cfg.Samples, cfg.Workers, w)
-		wg.Add(1)
-		go func(rng *mathx.RNG) {
-			defer wg.Done()
-			src := make([]float64, cfg.Dim)
-			grad := make([]float64, cfg.Dim)
-			targets := make([]int32, 0, 1+cfg.Negatives)
-			lr := cfg.InitialLR
-			floorLR := cfg.InitialLR * 0.0001
-			for s := 0; s < steps; s++ {
-				// Hoisted LR schedule: linear decay on local progress,
-				// recomputed every lrInterval samples instead of per
-				// sample. Workers advance in lockstep on average, and the
-				// LR changes by at most InitialLR·lrInterval/total ≈ 1e-5
-				// of its range between refreshes.
-				if s%lrInterval == 0 {
-					progress := float64(first+s) / total
-					lr = cfg.InitialLR * (1 - progress)
-					if lr < floorLR {
-						lr = floorLR
-					}
-				}
-
-				ei := edgeSampler.Sample(rng)
-				u, v := g.EdgesU[ei], g.EdgesV[ei]
-				// Skip self-loops: a vertex is not its own neighbour, and
-				// first order would push a row along its own copy.
-				// Projection graphs never contain them (edges always have
-				// U < V), so this is purely defensive.
-				if u == v {
-					continue
-				}
-				// Undirected edge: train in a random direction each step.
-				if rng.Float64() < 0.5 {
-					u, v = v, u
-				}
-				// The sample's targets: the positive example, then the
-				// negatives. A collision with the positive pair is redrawn
-				// in place (bounded rejection loop) so every sample trains
-				// on the configured number of negatives instead of
-				// silently dropping some on dense toy graphs.
-				targets = append(targets[:0], v)
-				for k := 0; k < cfg.Negatives; k++ {
-					nv := int32(noiseSampler.Sample(rng))
-					for tries := 0; (nv == v || nv == u) && tries < negRetries; tries++ {
-						nv = int32(noiseSampler.Sample(rng))
-					}
-					if nv == v || nv == u {
-						continue
-					}
-					targets = append(targets, nv)
-				}
-				emb.sample(tgt, u, targets, src, grad, lr)
+	lr := cfg.InitialLR
+	floorLR := cfg.InitialLR * 0.0001
+	for s := 0; s < cfg.Samples; s++ {
+		// Hoisted LR schedule: linear decay, recomputed every
+		// lrInterval samples instead of per sample. The LR changes by
+		// at most InitialLR·lrInterval/total ≈ 1e-5 of its range
+		// between refreshes.
+		if s%lrInterval == 0 {
+			lr = cfg.InitialLR * (1 - float64(s)/total)
+			if lr < floorLR {
+				lr = floorLR
 			}
-		}(root.Split())
-	}
-	wg.Wait()
-	return emb.rows(), nil
-}
+		}
 
-// workerShare splits samples SGD steps over workers: worker w performs
-// steps of them, the first being number first of the whole run (its
-// place on the learning-rate schedule). The first samples%workers
-// workers take one extra step, so the shares sum to samples exactly —
-// the count Embedding.Samples reports.
-func workerShare(samples, workers, w int) (first, steps int) {
-	per, extra := samples/workers, samples%workers
-	if w < extra {
-		return w * (per + 1), per + 1
+		ei := edgeSampler.Sample(rng)
+		u, v := g.EdgesU[ei], g.EdgesV[ei]
+		// Skip self-loops: a vertex is not its own neighbour, and
+		// first order would push a row along its own copy.
+		// Projection graphs never contain them (edges always have
+		// U < V), so this is purely defensive.
+		if u == v {
+			continue
+		}
+		// Undirected edge: train in a random direction each step.
+		if rng.Float64() < 0.5 {
+			u, v = v, u
+		}
+		// The sample's targets: the positive example, then the
+		// negatives. A collision with the positive pair is redrawn
+		// in place (bounded rejection loop) so every sample trains
+		// on the configured number of negatives instead of
+		// silently dropping some on dense toy graphs.
+		targets = append(targets[:0], v)
+		for k := 0; k < cfg.Negatives; k++ {
+			nv := int32(noiseSampler.Sample(rng))
+			for tries := 0; (nv == v || nv == u) && tries < negRetries; tries++ {
+				nv = int32(noiseSampler.Sample(rng))
+			}
+			if nv == v || nv == u {
+				continue
+			}
+			targets = append(targets, nv)
+		}
+		emb.sample(tgt, u, targets, src, grad, lr)
 	}
-	return w*per + extra, per
+	return emb.rows(), nil
 }
 
 // coeff returns the SGD step coefficient (label − σ(x))·lr for an
@@ -375,13 +337,13 @@ func coeff(label, x, lr float64) float64 {
 
 // Inner-loop tuning constants.
 const (
-	// lrInterval is how many samples a worker processes between learning
-	// rate refreshes; the schedule is linear, so the LR drifts by a
+	// lrInterval is how many samples run between learning rate
+	// refreshes; the schedule is linear, so the LR drifts by a
 	// negligible amount within one interval.
 	lrInterval = 1024
 	// negRetries bounds the negative-sample rejection loop so degenerate
 	// graphs (where the noise distribution nearly always returns the
-	// positive pair) cannot stall a worker.
+	// positive pair) cannot stall training.
 	negRetries = 3
 	// warmSampleScale shrinks the automatic sample budget (and its
 	// clamps) when Config.Init warm-starts training: seeded vertices
@@ -390,8 +352,7 @@ const (
 	warmSampleScale = 0.4
 )
 
-// randomInit mirrors matrix.randomize for the no-edge early path,
-// which never spawns workers and has no need for atomics.
+// randomInit mirrors matrix.randomize for the no-edge early path.
 func randomInit(n, dim int, rng *mathx.RNG) [][]float64 {
 	out := make([][]float64, n)
 	for v := range out {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mathx"
-	"repro/internal/race"
 )
 
 // twoCliques builds two dense cliques of size k joined by one weak
@@ -48,7 +47,7 @@ func cliqueSeparation(t *testing.T, order Order) float64 {
 	// artifact that vanishes at the 10k-domain scale the pipeline runs at.
 	const k = 20
 	g := twoCliques(k)
-	emb, err := Train(g, Config{Dim: 16, Order: order, Samples: 400_000, Seed: 7, Workers: 2, Negatives: 2})
+	emb, err := Train(g, Config{Dim: 16, Order: order, Samples: 400_000, Seed: 7, Negatives: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestSecondOrderCapturesSharedNeighborhoods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := Train(g, Config{Dim: 8, Order: OrderSecond, Samples: 300_000, Seed: 3, Workers: 1})
+	emb, err := Train(g, Config{Dim: 8, Order: OrderSecond, Samples: 300_000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestSecondOrderCapturesSharedNeighborhoods(t *testing.T) {
 
 func TestVectorsAreUnitNormPerPart(t *testing.T) {
 	g := twoCliques(4)
-	emb, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 50_000, Seed: 1, Workers: 1})
+	emb, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 50_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestVectorsAreUnitNormPerPart(t *testing.T) {
 
 func TestOrderBothConcatenates(t *testing.T) {
 	g := twoCliques(4)
-	emb, err := Train(g, Config{Dim: 16, Order: OrderBoth, Samples: 50_000, Seed: 1, Workers: 1})
+	emb, err := Train(g, Config{Dim: 16, Order: OrderBoth, Samples: 50_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +154,9 @@ func TestOddDimRejectedForBoth(t *testing.T) {
 func TestSelfLoopEdgesAreSkipped(t *testing.T) {
 	// graph.Build rejects self-loops, but package line does not control
 	// its inputs: a hand-built Weighted can carry u==v edges. In the
-	// first-order objective a self-loop would alias src and dst (the
-	// unsynchronized matrix returns live rows), so trainOrder skips
-	// them; training must stay finite and Workers=1 deterministic.
+	// first-order objective a self-loop would push a row along its own
+	// copy, so trainOrder skips them; training must stay finite and
+	// deterministic.
 	g := &graph.Weighted{
 		N:      3,
 		EdgesU: []int32{0, 1, 2},
@@ -165,7 +164,7 @@ func TestSelfLoopEdgesAreSkipped(t *testing.T) {
 		EdgesW: []float64{1, 1, 5},
 		Degree: []float64{1, 2, 11},
 	}
-	cfg := Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 3, Workers: 1, Negatives: 2}
+	cfg := Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 3, Negatives: 2}
 	e1, err := Train(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +189,7 @@ func TestSelfLoopEdgesAreSkipped(t *testing.T) {
 
 func TestDeterministicSingleWorker(t *testing.T) {
 	g := twoCliques(5)
-	cfg := Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 11, Workers: 1}
+	cfg := Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 11}
 	a, err := Train(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestIsolatedVerticesGetFiniteVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := Train(g, Config{Dim: 8, Order: OrderBoth, Samples: 10_000, Seed: 2, Workers: 1})
+	emb, err := Train(g, Config{Dim: 8, Order: OrderBoth, Samples: 10_000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,7 @@ func TestWeightsInfluenceEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 100_000, Seed: 5, Workers: 1})
+	emb, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 100_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +303,11 @@ func TestWarmStartInitValidation(t *testing.T) {
 }
 
 func TestWarmStartSeedsVectors(t *testing.T) {
-	// With zero effective training (Samples so small each worker does ~1
-	// step) a warm-started vertex must stay near its init direction while
-	// differing from the cold run, proving the rows were applied.
+	// With next to no training (8 samples) a warm-started vertex must
+	// stay near its init direction while differing from the cold run,
+	// proving the rows were applied.
 	g := twoCliques(4)
-	cold, err := Train(g, Config{Dim: 8, Order: OrderBoth, Samples: 8, Seed: 9, Workers: 1, Negatives: 1})
+	cold, err := Train(g, Config{Dim: 8, Order: OrderBoth, Samples: 8, Seed: 9, Negatives: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +319,7 @@ func TestWarmStartSeedsVectors(t *testing.T) {
 		row[4+(v+1)%4] = 1
 		init[v] = row
 	}
-	warm, err := Train(g, Config{Dim: 8, Order: OrderBoth, Samples: 8, Seed: 9, Workers: 1, Negatives: 1, Init: init})
+	warm, err := Train(g, Config{Dim: 8, Order: OrderBoth, Samples: 8, Seed: 9, Negatives: 1, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +343,13 @@ func TestWarmStartSeedsVectors(t *testing.T) {
 
 func TestWarmStartShrinksAutoSamples(t *testing.T) {
 	g := twoCliques(4)
-	cold, err := Train(g, Config{Dim: 8, Order: OrderFirst, Seed: 1, Workers: 1})
+	cold, err := Train(g, Config{Dim: 8, Order: OrderFirst, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	init := make([][]float64, len(cold.Vectors))
 	copy(init, cold.Vectors)
-	warm, err := Train(g, Config{Dim: 8, Order: OrderFirst, Seed: 1, Workers: 1, Init: init})
+	warm, err := Train(g, Config{Dim: 8, Order: OrderFirst, Seed: 1, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +357,7 @@ func TestWarmStartShrinksAutoSamples(t *testing.T) {
 		t.Errorf("warm auto budget %d not below cold %d", warm.Samples, cold.Samples)
 	}
 	// An explicit Samples value must be respected exactly in both modes.
-	explicit, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 12_345, Seed: 1, Workers: 1, Init: init})
+	explicit, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 12_345, Seed: 1, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,30 +367,9 @@ func TestWarmStartShrinksAutoSamples(t *testing.T) {
 }
 
 func TestWorkerSharesSumToSamples(t *testing.T) {
-	// 10 samples over 3 workers: the first 10%3 = 1 worker takes the
-	// extra step, and each worker starts where the previous one ends.
-	want := [][2]int{{0, 4}, {4, 3}, {7, 3}}
-	for w, sh := range want {
-		if first, steps := workerShare(10, 3, w); first != sh[0] || steps != sh[1] {
-			t.Errorf("workerShare(10, 3, %d) = (%d, %d), want (%d, %d)", w, first, steps, sh[0], sh[1])
-		}
-	}
-	for _, tc := range [][2]int{{10, 3}, {2, 5}, {0, 4}, {12, 4}, {200_001, 7}, {9, 1}} {
-		samples, workers := tc[0], tc[1]
-		next := 0
-		for w := 0; w < workers; w++ {
-			first, steps := workerShare(samples, workers, w)
-			if first != next || steps < 0 {
-				t.Fatalf("workerShare(%d, %d, %d) = (%d, %d), want first %d", samples, workers, w, first, steps, next)
-			}
-			next += steps
-		}
-		if next != samples {
-			t.Errorf("%d workers perform %d steps of %d", workers, next, samples)
-		}
-	}
-	// The whole run reports what the workers perform.
-	emb, err := Train(twoCliques(4), Config{Dim: 8, Order: OrderBoth, Samples: 10, Seed: 1, Workers: 3})
+	// Embedding.Samples reports the steps performed: the budget, once
+	// per objective.
+	emb, err := Train(twoCliques(4), Config{Dim: 8, Order: OrderBoth, Samples: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,14 +391,14 @@ func embeddingSHA(e *Embedding) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// pinnedTrain runs the Workers=1 configuration the pinned hashes were
-// recorded with: a 300-vertex sparse graph, 20k samples, and for the
+// pinnedTrain runs the configuration the pinned hashes were recorded
+// with: a 300-vertex sparse graph, 20k samples, and for the
 // warm case an Init that seeds two vertices in three and leaves the
 // rest to the random initialization.
 func pinnedTrain(t testing.TB, dim int, order Order, warm bool) *Embedding {
 	t.Helper()
 	g := benchGraph(300, 10, 17)
-	cfg := Config{Dim: dim, Order: order, Samples: 20_000, Seed: 23, Workers: 1}
+	cfg := Config{Dim: dim, Order: order, Samples: 20_000, Seed: 23}
 	if warm {
 		rng := mathx.NewRNG(31)
 		cfg.Init = make([][]float64, g.N)
@@ -479,11 +457,6 @@ func TestTrainMatchesPinnedEmbeddings(t *testing.T) {
 	}{{"first", OrderFirst}, {"second", OrderSecond}, {"both", OrderBoth}}
 	for _, dim := range []int{32, 16, 10} {
 		for _, o := range orders {
-			// Instrumented SGD is some 100x slower; the race build (the
-			// atomic step) checks the order that runs both objectives.
-			if race.Enabled && o.order != OrderBoth {
-				continue
-			}
 			for _, start := range []string{"cold", "warm"} {
 				name := fmt.Sprintf("dim%d/%s/%s", dim, o.name, start)
 				if got := embeddingSHA(pinnedTrain(t, dim, o.order, start == "warm")); got != pinnedEmbeddingSHA[name] {
@@ -586,9 +559,8 @@ func forEachStepCase(f func(name string, row, src, grad []float64, label, lr flo
 	}
 }
 
-// TestStepMatchesReference checks whichever step this build selects
-// (AVX or pure Go on amd64, pure Go on arm64, atomic under -race)
-// against the sequence it replaced.
+// TestStepMatchesReference checks matrix.step against the sequence it
+// replaced.
 func TestStepMatchesReference(t *testing.T) {
 	forEachStepCase(func(name string, row, src, grad []float64, label, lr float64) {
 		wantRow := append([]float64(nil), row...)
@@ -741,8 +713,8 @@ func forEachSampleCase(f func(name string, c sampleCase)) {
 }
 
 // TestSampleMatchesReference checks whichever sample this build selects
-// (the AVX kernel or the Go loop on amd64, the Go loop on arm64, the
-// atomic loop under -race) against the unfused sequence.
+// (the AVX kernel or the Go loop on amd64, the Go loop elsewhere)
+// against the unfused sequence.
 func TestSampleMatchesReference(t *testing.T) {
 	forEachSampleCase(func(name string, c sampleCase) {
 		if got, want := c.run(), c.reference(); !got.same(want) {

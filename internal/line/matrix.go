@@ -1,42 +1,13 @@
-//go:build !race && (amd64 || arm64)
-
 package line
 
 import "repro/internal/mathx"
 
-// matrix is the fast-path embedding store: one flat []float64 shared by
-// all hogwild SGD workers with no synchronization at all. This is the
-// true lock-free scheme of the reference LINE implementation (Tang et
-// al., WWW 2015): colliding updates may lose an increment and readers
-// may observe a row mid-update, which is exactly the perturbation
-// hogwild SGD tolerates. It is selected only on 64-bit platforms
-// (amd64/arm64), where aligned float64 loads and stores are
-// single-instruction and never tear; everywhere else — and under the
-// race detector — matrix_race.go's atomic bit-pattern variant is used
-// instead, so 32-bit builds never observe torn values and
-// `go test -race ./...` stays clean. That build split is a deliberate
-// carve-out: the production hogwild path is intentionally exempt from
-// race checking (the whole point is unsynchronized updates, which the
-// detector would rightly flag), so the race suite validates the atomic
-// variant while this file's correctness rests on the no-tear guarantee
-// plus hogwild's tolerance of lost increments.
-//
-// The no-tear argument covers the AVX kernel too. It moves rows with
-// 32-byte loads and stores, which x86 does not promise to perform as one
-// access — but every float64 in a row is 8-byte aligned (the allocator
-// aligns the slice, and rows are whole elements), and x86 never splits
-// an aligned 8-byte lane of a wider access. A concurrent reader can see
-// some lanes of a vector store and not others, which is a row
-// mid-update, the case above; it cannot see half an element. The
-// reference LINE implementation, built with -march=native so its loops
-// auto-vectorise, rests on the same assumption.
-//
-// With Workers=1 none of this matters: both variants, and the AVX and
-// pure-Go forms of sample, perform identical arithmetic in the same
-// order, so training stays bit-deterministic in the seed across build
-// modes and across amd64 machines with and without AVX. (arm64 is
+// matrix is the embedding store: one flat []float64, n rows of dim.
+// The AVX and pure-Go forms of sample perform identical arithmetic in
+// the same order, so training is bit-deterministic in the seed across
+// amd64 machines with and without AVX. (Other architectures are
 // deterministic too, but the compiler may fuse multiply-adds there, so
-// its bits are its own.)
+// their bits are their own.)
 type matrix struct {
 	n, dim int
 	data   []float64
@@ -70,10 +41,9 @@ func (m *matrix) load(v int32, buf []float64) {
 // The caller draws every target before the call, which reorders no
 // draw: nothing in a sample consumes randomness.
 //
-// Three implementations keep this contract and agree bit for bit: the
-// loop below, matrix_race.go's atomic one, and on amd64 with AVX the
-// whole sample, sigmoid included, in one assembly call
-// (kernel_amd64.s).
+// Two implementations keep this contract and agree bit for bit: the
+// loop below and, on amd64 with AVX, the whole sample, sigmoid
+// included, in one assembly call (kernel_amd64.s).
 //
 //alloccheck:hot
 func (m *matrix) sample(tgt *matrix, u int32, targets []int32, src, grad []float64, lr float64) {
@@ -105,14 +75,13 @@ func (m *matrix) sample(tgt *matrix, u int32, targets []int32, src, grad []float
 // before it is written. src and grad have length dim and alias neither
 // each other nor row t.
 //
-// The arithmetic contract, which the AVX kernel and matrix_race.go's
-// atomic loop keep too: the dot product of the leading len&^3 elements
-// runs in four accumulators, element i into accumulator i%4, each
-// product rounded before it is added (the compiler does not fuse on
-// amd64, and the kernel must not use FMA), summed as ((s0+s1)+s2)+s3;
-// the trailing len%4 products are then added in index order. When a
-// result is NaN every path returns NaN, but the payload is whichever
-// operand's the hardware picks.
+// The arithmetic contract, which the AVX kernel keeps too: the dot
+// product of the leading len&^3 elements runs in four accumulators,
+// element i into accumulator i%4, each product rounded before it is
+// added (the compiler does not fuse on amd64, and the kernel must not
+// use FMA), summed as ((s0+s1)+s2)+s3; the trailing len%4 products are
+// then added in index order. When a result is NaN every path returns
+// NaN, but the payload is whichever operand's the hardware picks.
 //
 //alloccheck:hot
 func (m *matrix) step(t int32, src, grad []float64, label, lr float64) {
@@ -148,8 +117,7 @@ func (m *matrix) add(v int32, x []float64) {
 	}
 }
 
-// set copies vals into row v. Called only before workers start (warm
-// start), so plain stores are safe in every build.
+// set copies vals into row v (warm start).
 func (m *matrix) set(v int32, vals []float64) {
 	copy(m.data[int(v)*m.dim:(int(v)+1)*m.dim], vals)
 }

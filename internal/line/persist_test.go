@@ -8,7 +8,7 @@ import (
 
 func TestEmbeddingSaveLoadRoundTrip(t *testing.T) {
 	g := twoCliques(5)
-	emb, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 4, Workers: 1})
+	emb, err := Train(g, Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

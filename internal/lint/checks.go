@@ -11,8 +11,6 @@ func AllChecks() []Check {
 	return []Check{
 		&MathRandCheck{Allow: []string{"repro/internal/mathx"}},
 		&MapRangeCheck{},
-		&CopyLocksCheck{},
-		&LoopCaptureCheck{},
 		&WgAddCheck{},
 		&DroppedErrCheck{},
 		&DetPathCheck{},
@@ -65,47 +63,6 @@ func isSyncType(t types.Type, name string) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && objPkgPath(obj) == "sync" && obj.Name() == name
-}
-
-// lockTypes are the sync types that must never be copied by value.
-var lockTypes = []string{"Mutex", "RWMutex", "WaitGroup", "Once", "Cond"}
-
-// containsLock reports whether a value of type t embeds (directly, in a
-// struct field, or in an array element) one of the sync lock types.
-// Pointers, slices, maps and channels break the chain: copying those
-// copies a reference, not the lock.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isAnyLock(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}
-
-func isAnyLock(t types.Type) bool {
-	for _, name := range lockTypes {
-		if isSyncType(t, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // isWaitGroup reports whether t (possibly behind a pointer) is

@@ -10,10 +10,6 @@
 //   - maprange: iteration over a Go map has randomized order; functions
 //     that emit ordered output (reports, feature vectors, embeddings)
 //     must not range over maps unless the collected result is sorted.
-//   - copylocks: sync.Mutex, sync.RWMutex, sync.WaitGroup, sync.Once and
-//     sync.Cond must not be copied by value.
-//   - loopcapture: goroutines must receive loop variables as parameters,
-//     not capture them from the enclosing loop.
 //   - wgadd: sync.WaitGroup.Add must run before the goroutine it
 //     accounts for is spawned, never inside it.
 //   - droppederr: error returns must not be silently discarded outside
@@ -61,9 +57,9 @@ type Severity int
 // Severity levels.
 const (
 	// SeverityWarning marks hazards that can silently change results
-	// (nondeterministic iteration, captured loop variables).
+	// (nondeterministic iteration, per-iteration timers).
 	SeverityWarning Severity = iota + 1
-	// SeverityError marks definite correctness bugs (copied locks,
+	// SeverityError marks definite correctness bugs (leaked files,
 	// dropped errors, forbidden randomness sources).
 	SeverityError
 )

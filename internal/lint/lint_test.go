@@ -25,8 +25,6 @@ func fixtureCases() []struct {
 		{"mathrand", &MathRandCheck{Allow: []string{"fixture/mathrand_allowed"}}},
 		{"mathrand_allowed", &MathRandCheck{Allow: []string{"fixture/mathrand_allowed"}}},
 		{"maprange", &MapRangeCheck{}},
-		{"copylocks", &CopyLocksCheck{}},
-		{"loopcapture", &LoopCaptureCheck{}},
 		{"wgadd", &WgAddCheck{}},
 		{"droppederr", &DroppedErrCheck{}},
 		{"detpath", &DetPathCheck{}},

@@ -60,8 +60,7 @@ type Loader struct {
 	ModPath string
 	// Tags lists extra build tags treated as satisfied, on top of the
 	// default GOOS/GOARCH/gc set — the loader-side equivalent of
-	// `go build -tags`. A second loader with Tags={"race"} analyzes the
-	// race half of tag-paired files (internal/line's hogwild split).
+	// `go build -tags`.
 	Tags []string
 
 	std   types.ImporterFrom
@@ -190,76 +189,6 @@ func dirHasGoFiles(dir string) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// GatedPackages returns the import paths of module packages that
-// contain at least one Go file whose build constraints evaluate
-// differently with tag enabled than under this loader's current tag
-// set — the packages a second analysis pass under that tag would see
-// differently. The result is sorted.
-func (l *Loader) GatedPackages(tag string) ([]string, error) {
-	paths, err := l.Walk()
-	if err != nil {
-		return nil, err
-	}
-	withTag := func(t string) bool { return t == tag || l.tagSatisfied(t) }
-	var out []string
-	for _, path := range paths {
-		dir := l.dirForPath(path)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: reading %s: %w", dir, err)
-		}
-		gated := false
-		for _, e := range entries {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-				continue
-			}
-			expr, err := fileConstraint(filepath.Join(dir, n))
-			if err != nil {
-				return nil, err
-			}
-			if expr != nil && expr.Eval(l.tagSatisfied) != expr.Eval(withTag) {
-				gated = true
-				break
-			}
-		}
-		if gated {
-			out = append(out, path)
-		}
-	}
-	return out, nil
-}
-
-// fileConstraint returns the //go:build (or // +build) constraint of a
-// source file, or nil when it has none. Only the header before the
-// package clause is scanned, without a full parse.
-func fileConstraint(path string) (constraint.Expr, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("lint: reading %s: %w", path, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if constraint.IsGoBuild(trimmed) || constraint.IsPlusBuild(trimmed) {
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				continue
-			}
-			return expr, nil
-		}
-	}
-	return nil, nil
-}
-
-// dirForPath maps a module import path to its source directory.
-func (l *Loader) dirForPath(path string) string {
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-	return filepath.Join(l.ModRoot, filepath.FromSlash(rel))
 }
 
 // entry returns the memo cell for path, creating it if needed.

@@ -131,41 +131,7 @@ func TestLoadAllErrorsPositional(t *testing.T) {
 	}
 }
 
-// TestGatedPackagesRace verifies the loader sees the race/norace split
-// in internal/line and nothing spurious elsewhere.
-func TestGatedPackagesRace(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	gated, err := loader.GatedPackages("race")
-	if err != nil {
-		t.Fatalf("GatedPackages: %v", err)
-	}
-	found := false
-	for _, p := range gated {
-		if p == "repro/internal/line" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("GatedPackages(race) = %v; want it to include repro/internal/line (hogwild split)", gated)
-	}
-	// A loader already carrying the tag sees no difference.
-	raceLoader, err := NewLoaderTags(".", []string{"race"})
-	if err != nil {
-		t.Fatalf("NewLoaderTags: %v", err)
-	}
-	regated, err := raceLoader.GatedPackages("race")
-	if err != nil {
-		t.Fatalf("GatedPackages(race loader): %v", err)
-	}
-	if len(regated) != 0 {
-		t.Errorf("race-tagged loader still reports gated packages: %v", regated)
-	}
-}
-
-// TestTagLoaderSelectsRaceHalf loads internal/line under both tag sets
+// TestTagLoaderSelectsRaceHalf loads internal/race under both tag sets
 // and checks that exactly one half of the tag pair is in each.
 func TestTagLoaderSelectsRaceHalf(t *testing.T) {
 	has := func(tags []string, suffix string) bool {
@@ -173,9 +139,9 @@ func TestTagLoaderSelectsRaceHalf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewLoaderTags(%v): %v", tags, err)
 		}
-		pkg, err := loader.Load("repro/internal/line")
+		pkg, err := loader.Load("repro/internal/race")
 		if err != nil {
-			t.Fatalf("Load(line) tags=%v: %v", tags, err)
+			t.Fatalf("Load(race) tags=%v: %v", tags, err)
 		}
 		for _, f := range pkg.Files {
 			name := loader.Fset.Position(f.Pos()).Filename
@@ -185,10 +151,10 @@ func TestTagLoaderSelectsRaceHalf(t *testing.T) {
 		}
 		return false
 	}
-	if !has(nil, "matrix_norace.go") || has(nil, "matrix_race.go") {
+	if !has(nil, "/norace.go") || has(nil, "/race.go") {
 		t.Errorf("default tags: want norace half only")
 	}
-	if !has([]string{"race"}, "matrix_race.go") || has([]string{"race"}, "matrix_norace.go") {
+	if !has([]string{"race"}, "/race.go") || has([]string{"race"}, "/norace.go") {
 		t.Errorf("race tags: want race half only")
 	}
 }

@@ -157,8 +157,8 @@ func SigmoidTable() *[sigIntervals + 1]float64 { return &sigTable }
 // outside it clamps to
 // 0 or 1, so the worst-case absolute error is σ(−6) ≈ 2.5e−3 at the
 // boundary — the same truncation the reference LINE implementation
-// applies, and far below the gradient noise hogwild SGD already
-// tolerates. NaN input clamps to 1 rather than propagating.
+// applies, and far below SGD's own gradient noise. NaN input clamps to
+// 1 rather than propagating.
 func FastSigmoid(x float64) float64 {
 	if x <= -sigBound {
 		return 0

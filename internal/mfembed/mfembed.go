@@ -5,19 +5,17 @@
 // domains embed closely exactly when the projection says they behave
 // similarly. It is the drop-in alternative to LINE behind core's
 // Embedder registry — same graph input, same warm-start contract, same
-// Workers=1 determinism guarantee — at a fraction of LINE's sample
-// budget, because each SGD step fits an explicit similarity value
-// instead of a sampled proximity objective.
+// determinism guarantee — at a fraction of LINE's sample budget,
+// because each SGD step fits an explicit similarity value instead of a
+// sampled proximity objective.
 //
 // Training is plain SGD over edge samples: an edge (u, v, w) is drawn
 // with probability proportional to w (alias sampling, like LINE's edge
 // sampler), the residual w − Uᵤ·Uᵥ drives a gradient step on both
 // endpoint rows with L2 regularization, and a few uniformly sampled
 // negative pairs per positive push unconnected rows toward
-// orthogonality. The trainer is deliberately single-threaded: the
-// automatic sample budget is an order of magnitude below LINE's, the
-// whole fit is a small slice of a model build, and a sequential loop
-// makes every run — not just Workers=1 — bit-reproducible in the seed.
+// orthogonality. The trainer is sequential, like LINE's, so every run
+// is bit-reproducible in the seed.
 //
 //maldlint:deterministic
 package mfembed
@@ -48,10 +46,6 @@ type Config struct {
 	// Lambda is the L2 regularization strength applied to the rows
 	// touched by each step (default 0.01).
 	Lambda float64
-	// Workers is accepted for interface symmetry with the LINE trainer
-	// but ignored: training is sequential, so every run is
-	// deterministic in the seed regardless of the setting.
-	Workers int
 	// Seed drives initialization and sampling.
 	Seed uint64
 	// Init optionally warm-starts training: when non-nil it must have

@@ -26,7 +26,7 @@ func ringGraph(t *testing.T, n int) *graph.Weighted {
 }
 
 // TestTrainDeterministic: same graph, same seed, same config — the
-// sequential trainer must be bit-reproducible regardless of Workers.
+// trainer must be bit-reproducible.
 func TestTrainDeterministic(t *testing.T) {
 	g := ringGraph(t, 16)
 	cfg := Config{Dim: 8, Samples: 50_000, Seed: 7}
@@ -34,7 +34,6 @@ func TestTrainDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8 // documented as ignored; must not perturb results
 	b, err := Train(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -201,8 +201,8 @@ func (r *Rolling) writeCheckpoint(fs faultio.FS, path string, cur Cursor) error 
 //
 // After Restore, replay the input stream: observations for days at or
 // before the cursor are ignored automatically, then call EndOfDay for
-// each boundary after cursor.Day. With a deterministic model
-// configuration (fixed seed, Workers=1) the resumed alert feed is
+// each boundary after cursor.Day. A model build is a pure function of
+// its window, configuration and seed, so the resumed alert feed is
 // byte-identical to an uninterrupted run.
 func Restore(rd io.Reader, cfg Config) (*Rolling, Cursor, error) {
 	r, cur, err := restore(rd, cfg)

@@ -448,9 +448,8 @@ func TestDegradedDayStillEvicts(t *testing.T) {
 }
 
 // deterministicConfig is the fixture for the crash-equivalence tests:
-// Workers=1 pins the hogwild SGD to one goroutine so two runs from the
-// same seed produce bit-identical models, which is what lets a resumed
-// run reproduce the alert feed exactly.
+// two runs from the same seed produce bit-identical models, which is
+// what lets a resumed run reproduce the alert feed exactly.
 func deterministicConfig(t testing.TB, fail *bool) (Config, *dnssim.Scenario) {
 	t.Helper()
 	scfg := dnssim.SmallScenario(777)
@@ -467,7 +466,7 @@ func deterministicConfig(t testing.TB, fail *bool) (Config, *dnssim.Scenario) {
 	cfg := Config{
 		Start:      s.Config.Start,
 		WindowDays: 2,
-		Detector:   core.Config{Seed: 777, EmbedDim: 16, Workers: 1},
+		Detector:   core.Config{Seed: 777, EmbedDim: 16},
 		Labeler: func(candidates []string) ([]string, []int) {
 			if fail != nil && *fail {
 				return nil, nil

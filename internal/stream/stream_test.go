@@ -63,10 +63,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// skipIfRace skips the tests that retrain a model per window day: LINE
-// SGD's atomic operations make them exceed the default per-package test
-// timeout under race instrumentation. The concurrent components have
-// their own fast -race package tests.
+// skipIfRace skips the tests that retrain a model per window day:
+// instrumented full-model builds add up to some three minutes for this
+// package. The concurrent components have their own fast -race package
+// tests.
 func skipIfRace(t *testing.T) {
 	t.Helper()
 	if race.Enabled {

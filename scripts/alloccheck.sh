@@ -7,9 +7,8 @@
 # per-request hot path of the serving daemon (Scorer lookups, the cold
 # fold-in behind a cache miss and the daemon's score handler), the
 # per-event e2LD extraction of ingest, and
-# the per-sample work of LINE training (matrix.sample and matrix.step in
-# both build variants — only the one this build compiles can report
-# escapes — and AliasTable.Sample).
+# the per-sample work of LINE training (matrix.sample, matrix.step and
+# AliasTable.Sample).
 # This script runs the compiler's escape analysis
 # (go build -gcflags='-m') over those packages, counts
 # `escapes to heap` diagnostics inside each annotated function, and

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the tier-1+ correctness gate for this repository.
 #
-# Runs, in order: formatting, go vet, build (and a vet, as arm64 sees
-# them, without the AVX kernels, of the packages that have or call one),
-# the sealed-file gate, the
+# Runs, in order: formatting, go vet, build (and a vet, as arm64 and 386
+# see them, without the AVX kernels, of the packages that have or call
+# one), the sealed-file gate, the
 # maldlint static analyzer (against the committed baseline, plus a -json
 # schema smoke), the escape-analysis gate for the scoring, ingest and SGD
 # hot paths (scripts/alloccheck.sh against its committed baseline), the full
@@ -42,8 +42,9 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> GOARCH=arm64 go vet (the build without the AVX kernels)"
+echo "==> GOARCH=arm64 and GOARCH=386 go vet (the builds without the AVX kernels)"
 GOARCH=arm64 go vet ./internal/line ./internal/mathx ./internal/svm ./internal/core
+GOARCH=386 go vet ./internal/line ./internal/mathx
 
 echo "==> sealed-file gate (framing and commit live in internal/crcio only)"
 if grep -rnE '(CreateTemp|\.Rename|crcio\.New(Writer|Reader))\(' --include='*.go' . |
@@ -81,11 +82,14 @@ trap cleanup EXIT
 go run ./cmd/dnsgen -scale small -seed 7 \
     -out "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv"
 go build -o "$smokedir/maldetect" ./cmd/maldetect
-# One SGD worker: the serve smoke below asserts on this model's fold-in
-# verdict, and only a Workers=1 embedding is the same on every host.
-GOMAXPROCS=1 "$smokedir/maldetect" train -seed 7 \
-    -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
-    -out "$smokedir/model.bin"
+# A model is a function of (trace, flags, seed): trained twice, the two
+# files are the same bytes.
+for out in model.bin model-again.bin; do
+    "$smokedir/maldetect" train -seed 7 \
+        -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
+        -out "$smokedir/$out"
+done
+cmp "$smokedir/model.bin" "$smokedir/model-again.bin"
 "$smokedir/maldetect" score -model "$smokedir/model.bin" -top 5 \
     >"$smokedir/scores.txt"
 grep -q '^top 5 suspicious domains:' "$smokedir/scores.txt"
