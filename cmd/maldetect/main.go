@@ -141,7 +141,7 @@ func loadDetector(tracePath, dhcpPath string, seed uint64, sel stageSelection) (
 		return nil, err
 	}
 	defer f.Close()
-	if err := pipeline.ReadLog(bufio.NewReaderSize(f, 1<<20), det.Consume); err != nil {
+	if err := pipeline.ReadLog(f, det.Consume); err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "maldetect: consumed %d observations over %d days\n", n, days)

@@ -38,7 +38,7 @@ func traceWindow(tracePath string) (start time.Time, days, n int, err error) {
 	}
 	defer f.Close()
 	var first, last time.Time
-	if err := pipeline.ReadLog(bufio.NewReaderSize(f, 1<<20), func(in pipeline.Input) {
+	if err := pipeline.ReadLog(f, func(in pipeline.Input) {
 		if n == 0 || in.Time.Before(first) {
 			first = in.Time
 		}
@@ -202,7 +202,7 @@ func runStream(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := pipeline.ReadLog(bufio.NewReaderSize(tf, 1<<20), r.Consume); err != nil {
+	if err := pipeline.ReadLog(tf, r.Consume); err != nil {
 		_ = tf.Close()
 		return err
 	}

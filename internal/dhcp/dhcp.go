@@ -100,18 +100,45 @@ func randomIP(cfg GenConfig, rng *mathx.RNG) string {
 // lease log. It is immutable after construction and safe for concurrent
 // use.
 type Resolver struct {
-	byIP map[string][]Lease // sorted by Start
+	byIP map[string][]span // sorted by start
+}
+
+// span is a lease as MACAt reads it, its bounds decoded from the
+// time.Time values once at construction.
+type span struct {
+	start, end instant
+	mac        string
+}
+
+// instant is a time as Unix seconds and nanoseconds. The pair orders
+// exactly as time.Time's wall clock does over every representable time;
+// one int64 of nanoseconds would wrap outside the years 1678–2262, which
+// a log line can spell.
+type instant struct {
+	sec  int64
+	nsec int32
+}
+
+func instantOf(t time.Time) instant { return instant{t.Unix(), int32(t.Nanosecond())} }
+
+func (a instant) after(b instant) bool {
+	return a.sec > b.sec || a.sec == b.sec && a.nsec > b.nsec
 }
 
 // NewResolver indexes a lease log.
 func NewResolver(leases []Lease) *Resolver {
-	r := &Resolver{byIP: make(map[string][]Lease)}
+	byIP := make(map[string][]Lease)
 	for _, l := range leases {
-		r.byIP[l.IP] = append(r.byIP[l.IP], l)
+		byIP[l.IP] = append(byIP[l.IP], l)
 	}
-	for ip := range r.byIP {
-		ls := r.byIP[ip]
+	r := &Resolver{byIP: make(map[string][]span, len(byIP))}
+	for ip, ls := range byIP {
 		sort.Slice(ls, func(i, j int) bool { return ls[i].Start.Before(ls[j].Start) })
+		spans := make([]span, len(ls))
+		for i, l := range ls {
+			spans[i] = span{start: instantOf(l.Start), end: instantOf(l.End), mac: l.MAC}
+		}
+		r.byIP[ip] = spans
 	}
 	return r
 }
@@ -119,18 +146,31 @@ func NewResolver(leases []Lease) *Resolver {
 // MACAt returns the MAC address that held ip at time t. ok is false when
 // no lease covers (ip, t) — e.g. traffic from a static or off-campus
 // address.
+//
+//alloccheck:hot
 func (r *Resolver) MACAt(ip string, t time.Time) (mac string, ok bool) {
 	ls := r.byIP[ip]
-	// Find the last lease starting at or before t.
-	i := sort.Search(len(ls), func(i int) bool { return ls[i].Start.After(t) }) - 1
+	if len(ls) == 0 {
+		return "", false
+	}
+	at := instantOf(t)
+	// Find the first lease starting after t.
+	lo, hi := 0, len(ls)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ls[mid].start.after(at) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
 	// Overlapping reassignments are possible when a device moves away and
 	// the pool re-issues its address; scan back for any covering lease,
 	// preferring the most recent.
-	for ; i >= 0; i-- {
-		if !ls[i].End.After(t) {
-			continue
+	for i := lo - 1; i >= 0; i-- {
+		if ls[i].end.after(at) {
+			return ls[i].mac, true
 		}
-		return ls[i].MAC, true
 	}
 	return "", false
 }
@@ -140,7 +180,7 @@ func (r *Resolver) Devices() []string {
 	set := make(map[string]bool)
 	for _, ls := range r.byIP {
 		for _, l := range ls {
-			set[l.MAC] = true
+			set[l.mac] = true
 		}
 	}
 	out := make([]string, 0, len(set))

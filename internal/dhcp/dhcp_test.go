@@ -1,6 +1,7 @@
 package dhcp
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -73,6 +74,64 @@ func TestResolverPinsDevice(t *testing.T) {
 		}
 		if mac == "" {
 			t.Fatal("empty MAC")
+		}
+	}
+}
+
+// referenceMACAt is the lookup MACAt replaced: sort.Search over the
+// leases' time.Time bounds. It is the oracle for the integer bounds.
+func referenceMACAt(ls []Lease, t time.Time) (string, bool) {
+	i := sort.Search(len(ls), func(i int) bool { return ls[i].Start.After(t) }) - 1
+	for ; i >= 0; i-- {
+		if ls[i].End.After(t) {
+			return ls[i].MAC, true
+		}
+	}
+	return "", false
+}
+
+// MACAt must name the lease the time.Time comparison names: at every
+// lease bound and a nanosecond either side of it, with overlapping and
+// nested leases, equal starts, and instants that a single int64 of
+// nanoseconds cannot hold.
+func TestMACAtMatchesTimeComparison(t *testing.T) {
+	far := func(year int) time.Time { return time.Date(year, 6, 1, 12, 0, 0, 500, time.UTC) }
+	leases := genTestLog(40, 96*time.Hour)
+	const ip = "10.9.9.9"
+	leases = append(leases,
+		Lease{MAC: "a", IP: ip, Start: t0, End: t0.Add(10 * time.Hour)},
+		Lease{MAC: "b", IP: ip, Start: t0.Add(2 * time.Hour), End: t0.Add(3 * time.Hour)},                 // nested
+		Lease{MAC: "c", IP: ip, Start: t0.Add(2 * time.Hour), End: t0.Add(2*time.Hour + time.Nanosecond)}, // equal start
+		Lease{MAC: "d", IP: ip, Start: t0.Add(9 * time.Hour), End: t0.Add(20 * time.Hour)},                // overlap
+		Lease{MAC: "e", IP: ip, Start: t0.Add(30 * time.Hour), End: t0.Add(30 * time.Hour)},               // empty
+		Lease{MAC: "f", IP: ip, Start: far(1), End: far(1600)},
+		Lease{MAC: "g", IP: ip, Start: far(1650), End: far(1700)},
+		Lease{MAC: "h", IP: ip, Start: far(2250), End: far(2300)},
+		Lease{MAC: "i", IP: ip, Start: far(9000), End: far(9999)},
+	)
+	r := NewResolver(leases)
+
+	byIP := make(map[string][]Lease)
+	for _, l := range leases {
+		byIP[l.IP] = append(byIP[l.IP], l)
+	}
+	for addr, ls := range byIP {
+		// NewResolver's grouping and sort, so equal starts fall the same way.
+		sort.Slice(ls, func(i, j int) bool { return ls[i].Start.Before(ls[j].Start) })
+		var probes []time.Time
+		for _, l := range ls {
+			for _, at := range []time.Time{l.Start, l.End, l.Start.Add(l.End.Sub(l.Start) / 2)} {
+				probes = append(probes, at.Add(-time.Nanosecond), at, at.Add(time.Nanosecond),
+					at.Add(-time.Second), at.Add(time.Second), at.In(time.FixedZone("x", 3600)))
+			}
+		}
+		probes = append(probes, time.Time{}, far(1), far(1677), far(2263), far(9999), time.Unix(1<<40, 0))
+		for _, at := range probes {
+			mac, ok := r.MACAt(addr, at)
+			wantMAC, wantOK := referenceMACAt(ls, at)
+			if mac != wantMAC || ok != wantOK {
+				t.Fatalf("MACAt(%s, %v) = %q, %v; the time.Time search gives %q, %v", addr, at, mac, ok, wantMAC, wantOK)
+			}
 		}
 	}
 }

@@ -1,12 +1,17 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/dnswire"
@@ -123,6 +128,104 @@ func FuzzParseLogLine(f *testing.F) {
 		again.Time = got.Time
 		if !reflect.DeepEqual(again, got) {
 			t.Fatalf("ParseLogLine(%q) = %+v, after WriteLogLine %+v", line, got, again)
+		}
+	})
+}
+
+// referenceReadLog is the bufio.Scanner loop that ReadLog's block reader
+// replaced, kept as its oracle: one string a line, one ParseLogLine a
+// string.
+func referenceReadLog(r io.Reader, emit func(Input)) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		in, err := ParseLogLine(line)
+		if err != nil {
+			return fmt.Errorf("pipeline: line %d: %w", lineNo, err)
+		}
+		emit(in)
+	}
+	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			// The one place the two differ by design: the block reader
+			// says which line.
+			return fmt.Errorf("pipeline: line %d: longer than %d bytes", lineNo+1, maxLine)
+		}
+		return fmt.Errorf("pipeline: reading log: %w", err)
+	}
+	return nil
+}
+
+// FuzzReadLog drives the block reader with logs of several blocks, built
+// as head + body repeated so that a short input puts line ends, CRs and
+// malformed lines at every offset of a block edge, and read through
+// readers that return one byte, half the request, or the last bytes
+// together with io.EOF. Invariants: ReadLog emits the Inputs the Scanner
+// loop emits, field for field, each Answers clipped to its length, and
+// fails where it fails with the same text and line number.
+func FuzzReadLog(f *testing.F) {
+	const good = "2018-03-01T00:00:00.25Z\t7\t10.0.0.1\twww.example.com\tA\t0\t300\t1.2.3.4,1.2.3.5\n"
+	const nx = "2018-03-01T00:00:01Z\t8\t10.0.0.2\tgone.example.org\tAAAA\t3\t0\t-\n"
+	three := func(body string) uint16 { return uint16(3*readBlock/len(body) + 1) }
+	f.Add("", good+nx, three(good+nx))
+	f.Add("# header\n\n", good, three(good))
+	f.Add("", strings.ReplaceAll(good+nx, "\n", "\r\n"), three(good+nx))
+	f.Add(strings.Repeat("#", 4093)+"\n", good+"\n# c\n"+nx+"\r\n", three(good+nx))
+	f.Add(strings.Repeat(good, 2400), "not a log line\n", uint16(3))
+	f.Add(strings.Repeat(nx, 4000), strings.TrimSuffix(good, "\n"), uint16(1))
+	f.Add(strings.Repeat(good, 5000), good[:40], uint16(1))
+	f.Add("", "\r", uint16(65535))
+	f.Add("", "2018-03-01T00:00:00Z\t1\tc\tq\tA\t0\t60\t1.2.3.4,\n", uint16(1))
+
+	f.Fuzz(func(t *testing.T, head, body string, reps uint16) {
+		// Four blocks at most: enough for every carry, short of the hours a
+		// one-byte reader would need for the 64 KiB * 65535 the types allow.
+		n := int(reps)
+		if len(body) > 0 {
+			n = min(n, 4*readBlock/len(body)+1)
+		}
+		if len(head) > readBlock {
+			head = head[:readBlock]
+		}
+		log := head + strings.Repeat(body, n)
+
+		var want []Input
+		wantErr := referenceReadLog(strings.NewReader(log), func(in Input) { want = append(want, in) })
+		for _, reader := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"one-byte", iotest.OneByteReader},
+			{"half", iotest.HalfReader},
+			{"data-with-EOF", iotest.DataErrReader},
+		} {
+			name, wrap := reader.name, reader.wrap
+			var got []Input
+			err := ReadLog(wrap(strings.NewReader(log)), func(in Input) { got = append(got, in) })
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s reader: ReadLog error %v, the Scanner loop's %v", name, err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s reader: ReadLog emitted %d observations, the Scanner loop %d", name, len(got), len(want))
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if cap(g.Answers) != len(g.Answers) {
+					t.Fatalf("%s reader: observation %d: Answers has length %d and capacity %d", name, i, len(g.Answers), cap(g.Answers))
+				}
+				same := slices.Equal(g.Answers, w.Answers) && (g.Answers == nil) == (w.Answers == nil)
+				g.Answers, w.Answers = nil, nil
+				if !same || !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s reader: observation %d is %+v, the Scanner loop's %+v", name, i, got[i], want[i])
+				}
+			}
 		}
 	})
 }

@@ -11,6 +11,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dhcp"
@@ -20,6 +21,11 @@ import (
 
 // Input is one joined DNS observation: a query and its response. It
 // mirrors the record schema the paper's collector extracts (§2).
+//
+// An Input from ReadLog or ParseLogLine is a view of the text it was
+// parsed from: its strings are substrings of that text and share its
+// memory, so keeping one of them keeps all of it (see ReadLog for how
+// much that is). Processor.Consume keeps none.
 type Input struct {
 	Time     time.Time
 	TxnID    uint16
@@ -96,6 +102,10 @@ type Processor struct {
 	cfg     Config
 	stats   map[string]*DomainStats
 	devices map[string]struct{}
+	// names maps a query name, as spelled, to its e2LD's entry: a cache
+	// of "name is in stats[E2LD(name)].FQDNs", holding only such names.
+	// Merge and FromSnapshot leave it empty; Consume fills it name by name.
+	names map[string]*DomainStats
 
 	buckets      map[int]*bucketAccum
 	totalQueries int
@@ -123,6 +133,7 @@ func NewProcessor(cfg Config) *Processor {
 		cfg:     cfg,
 		stats:   make(map[string]*DomainStats),
 		devices: make(map[string]struct{}),
+		names:   make(map[string]*DomainStats),
 		buckets: make(map[int]*bucketAccum),
 	}
 }
@@ -137,36 +148,48 @@ func NewProcessor(cfg Config) *Processor {
 // device set, and a domain whose sightings fall in one bucket has its
 // e2LD and its FQDNs in that bucket. An observation that adds no set
 // member allocates nothing.
+//
+// Consume keeps no string of in: a string that becomes a member of a set
+// is copied first (strings.Clone), so in may point into a buffer as large
+// as ReadLog's blocks without the processor keeping that buffer alive.
 func (p *Processor) Consume(in Input) {
-	e2, err := p.cfg.Suffixes.E2LD(in.QName)
-	if err != nil {
-		p.skipped++
-		return
+	// A name seen before answers three questions at once: its e2LD, that
+	// e2LD's entry, and that the name is already in the entry's FQDNs.
+	// Until name is the processor's own copy it must not enter a set.
+	name, owned := in.QName, false
+	st, newFQDN := p.names[name], false
+	if st == nil {
+		e2, err := p.cfg.Suffixes.E2LD(name)
+		if err != nil {
+			p.skipped++
+			return
+		}
+		if st = p.stats[e2]; st == nil {
+			e2 = strings.Clone(e2)
+			st = &DomainStats{
+				E2LD:      e2,
+				FirstSeen: in.Time,
+				LastSeen:  in.Time,
+				Hosts:     make(map[string]struct{}),
+				IPs:       make(map[string]struct{}),
+				Minutes:   make(map[int]struct{}),
+				FQDNs:     make(map[string]struct{}),
+				TTLVals:   make(map[uint32]struct{}),
+				PerDay:    make([]int, p.cfg.Days),
+			}
+			p.stats[e2] = st
+		}
+		// After Merge or FromSnapshot the name may be in FQDNs and not in
+		// names yet; the insert then keeps the key FQDNs has.
+		name, owned = strings.Clone(name), true
+		known := len(st.FQDNs)
+		st.FQDNs[name] = struct{}{}
+		newFQDN = len(st.FQDNs) > known
+		p.names[name] = st
 	}
 	p.totalQueries++
+	since := in.Time.Sub(p.cfg.Start)
 
-	device := in.ClientIP
-	if p.cfg.DHCP != nil {
-		if mac, ok := p.cfg.DHCP.MACAt(in.ClientIP, in.Time); ok {
-			device = mac
-		}
-	}
-
-	st := p.stats[e2]
-	if st == nil {
-		st = &DomainStats{
-			E2LD:      e2,
-			FirstSeen: in.Time,
-			LastSeen:  in.Time,
-			Hosts:     make(map[string]struct{}),
-			IPs:       make(map[string]struct{}),
-			Minutes:   make(map[int]struct{}),
-			FQDNs:     make(map[string]struct{}),
-			TTLVals:   make(map[uint32]struct{}),
-			PerDay:    make([]int, p.cfg.Days),
-		}
-		p.stats[e2] = st
-	}
 	if in.Time.Before(st.FirstSeen) {
 		st.FirstSeen = in.Time
 	}
@@ -174,16 +197,22 @@ func (p *Processor) Consume(in Input) {
 		st.LastSeen = in.Time
 	}
 	st.QueryCount++
-	knownHosts, knownFQDNs := len(st.Hosts), len(st.FQDNs)
-	st.Hosts[device] = struct{}{}
-	if len(st.Hosts) > knownHosts {
-		// Every host of a domain went into devices when it became one.
+	if mac, ok := p.macAt(in); ok {
+		// A MAC is the resolver's string, not the input's.
+		known := len(st.Hosts)
+		st.Hosts[mac] = struct{}{}
+		if len(st.Hosts) > known {
+			// Every host of a domain went into devices when it became one.
+			p.devices[mac] = struct{}{}
+		}
+	} else if _, known := st.Hosts[in.ClientIP]; !known {
+		device := strings.Clone(in.ClientIP)
+		st.Hosts[device] = struct{}{}
 		p.devices[device] = struct{}{}
 	}
-	st.FQDNs[in.QName] = struct{}{}
-	st.Minutes[p.minuteIndex(in.Time)] = struct{}{}
+	st.Minutes[max(int(since/time.Minute), 0)] = struct{}{}
 	st.Hours[in.Time.Hour()]++
-	if day := p.dayIndex(in.Time); day >= 0 && day < len(st.PerDay) {
+	if day := int(since / (24 * time.Hour)); day >= 0 && day < len(st.PerDay) {
 		st.PerDay[day]++
 	}
 
@@ -191,7 +220,9 @@ func (p *Processor) Consume(in Input) {
 		st.NXCount++
 	} else {
 		for _, ip := range in.Answers {
-			st.IPs[ip] = struct{}{}
+			if _, known := st.IPs[ip]; !known {
+				st.IPs[strings.Clone(ip)] = struct{}{}
+			}
 		}
 		st.AnswerCountSum += len(in.Answers)
 		if len(in.Answers) > 0 {
@@ -211,7 +242,7 @@ func (p *Processor) Consume(in Input) {
 		}
 	}
 
-	bi := p.bucketIndex(in.Time)
+	bi := max(int(since/p.cfg.Bucket), 0)
 	b := p.buckets[bi]
 	if b == nil {
 		b = &bucketAccum{fqdns: make(map[string]struct{}), e2lds: make(map[string]struct{})}
@@ -220,30 +251,26 @@ func (p *Processor) Consume(in Input) {
 	b.queries++
 	// A domain whose sightings all fall in one bucket put its e2LD there
 	// with its first sighting and each FQDN with that FQDN's first.
-	if len(st.FQDNs) > knownFQDNs || p.bucketIndex(st.FirstSeen) != p.bucketIndex(st.LastSeen) {
-		b.fqdns[in.QName] = struct{}{}
-		b.e2lds[e2] = struct{}{}
+	if newFQDN || p.bucketIndex(st.FirstSeen) != p.bucketIndex(st.LastSeen) {
+		if owned {
+			b.fqdns[name] = struct{}{}
+		} else if _, known := b.fqdns[name]; !known {
+			b.fqdns[strings.Clone(name)] = struct{}{}
+		}
+		b.e2lds[st.E2LD] = struct{}{}
 	}
 }
 
-func (p *Processor) minuteIndex(t time.Time) int {
-	m := int(t.Sub(p.cfg.Start) / time.Minute)
-	if m < 0 {
-		return 0
+// macAt pins in's client address to a device when a lease covers it.
+func (p *Processor) macAt(in Input) (mac string, ok bool) {
+	if p.cfg.DHCP == nil {
+		return "", false
 	}
-	return m
-}
-
-func (p *Processor) dayIndex(t time.Time) int {
-	return int(t.Sub(p.cfg.Start) / (24 * time.Hour))
+	return p.cfg.DHCP.MACAt(in.ClientIP, in.Time)
 }
 
 func (p *Processor) bucketIndex(t time.Time) int {
-	i := int(t.Sub(p.cfg.Start) / p.cfg.Bucket)
-	if i < 0 {
-		return 0
-	}
-	return i
+	return max(int(t.Sub(p.cfg.Start)/p.cfg.Bucket), 0)
 }
 
 // Stats returns the per-domain aggregates, keyed by e2LD. The returned

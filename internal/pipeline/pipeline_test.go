@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/dhcp"
@@ -232,6 +236,67 @@ func TestReadLogErrors(t *testing.T) {
 			t.Errorf("ReadLog(%q) emitted %d observations before failing, want 1", bad, emitted)
 		}
 	}
+	// What the block reader adds to a line's own errors: where blocks
+	// and lines end, and what r itself reports.
+	const goodLine = "2018-03-01T00:00:00Z\t1\t10.0.0.1\twww.a.com\tA\t0\t60\t1.2.3.4"
+	long := func(n int) string { // a well-formed line of n bytes
+		return strings.Replace(goodLine, "www", strings.Repeat("w", n-len(goodLine)+3), 1)
+	}
+	pad := func(n int) string { // n bytes of comment, newline included
+		return "#" + strings.Repeat("x", n-2) + "\n"
+	}
+	errBoom := errors.New("boom")
+	for _, tc := range []struct {
+		name    string
+		r       io.Reader
+		emitted int
+		wantErr string // "" = no error
+	}{
+		{name: "line of 1 MiB with its newline", emitted: 3,
+			r: strings.NewReader(goodLine + "\n" + long(maxLine-1) + "\n" + goodLine + "\n")},
+		{name: "line of 1 MiB + 1", emitted: 1, wantErr: "pipeline: line 3: longer than 1048576 bytes",
+			r: strings.NewReader("# header\n" + goodLine + "\n" + long(maxLine+1) + "\n" + goodLine + "\n")},
+		{name: "last line of 1 MiB without a newline", emitted: 1, wantErr: "pipeline: line 2: longer than 1048576 bytes",
+			r: strings.NewReader(goodLine + "\n" + long(maxLine))},
+		{name: "line straddling a block boundary", emitted: 3,
+			r: strings.NewReader(pad(readBlock-len(goodLine)-10) + goodLine + "\n" + goodLine + "\n" + goodLine + "\n")},
+		{name: "newline first in the next block", emitted: 2,
+			r: strings.NewReader(pad(readBlock-len(goodLine)) + goodLine + "\n" + goodLine + "\n")},
+		{name: "CRLF split by a block boundary", emitted: 2,
+			r: strings.NewReader(pad(readBlock-len(goodLine)-1) + goodLine + "\r\n" + goodLine + "\r\n")},
+		{name: "bad line straddling a block boundary", emitted: 1, wantErr: "pipeline: line 3: want 8 fields, got 1",
+			r: strings.NewReader(pad(readBlock-len(goodLine)-5) + goodLine + "\nnot a log line\n")},
+		{name: "last line without a newline", emitted: 2,
+			r: strings.NewReader(goodLine + "\n" + goodLine)},
+		{name: "bad last line without a newline", emitted: 1, wantErr: "pipeline: line 2: want 8 fields, got 1",
+			r: strings.NewReader(goodLine + "\nnot a log line")},
+		{name: "CRLF", emitted: 2,
+			r: strings.NewReader("# header\r\n\r\n" + goodLine + "\r\n" + goodLine + "\r")},
+		{name: "read error mid-block", emitted: 2, wantErr: "pipeline: reading log: boom",
+			r: io.MultiReader(strings.NewReader(goodLine+"\n"+goodLine+"\n"+goodLine[:20]), iotest.ErrReader(errBoom))},
+		{name: "reader that never progresses", emitted: 1, wantErr: "pipeline: reading log: " + io.ErrNoProgress.Error(),
+			r: io.MultiReader(strings.NewReader(goodLine+"\n"), stalledReader{})},
+	} {
+		emitted := 0
+		err := ReadLog(tc.r, func(in Input) {
+			emitted++
+			// The first and the last field: what a misplaced block edge or a
+			// kept '\r' would damage.
+			if !in.Time.Equal(t0) || len(in.Answers) != 1 || in.Answers[0] != "1.2.3.4" {
+				t.Errorf("%s: emitted %+v", tc.name, in)
+			}
+		})
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if tc.name == "read error mid-block" && !errors.Is(err, errBoom) {
+			t.Errorf("%s: error %v does not wrap the reader's", tc.name, err)
+		}
+		if emitted != tc.emitted {
+			t.Errorf("%s: emitted %d observations, want %d", tc.name, emitted, tc.emitted)
+		}
+	}
+
 	if _, err := ParseLogLine("a\tb\tc"); err == nil || !strings.Contains(err.Error(), "want 8 fields, got 3") {
 		t.Errorf("short line: error %v, want the field count", err)
 	}
@@ -241,6 +306,51 @@ func TestReadLogErrors(t *testing.T) {
 	// Comments and blank lines are fine.
 	if err := ReadLog(strings.NewReader("# header\n\n"), func(Input) {}); err != nil {
 		t.Errorf("comment/blank rejected: %v", err)
+	}
+}
+
+// stalledReader returns no bytes and no error, for ever.
+type stalledReader struct{}
+
+func (stalledReader) Read([]byte) (int, error) { return 0, nil }
+
+// WriteLogLine must write what the Fprintf form it replaced wrote.
+func TestWriteLogLineMatchesFprintf(t *testing.T) {
+	reference := func(in Input) string {
+		answers := "-"
+		if len(in.Answers) > 0 {
+			answers = strings.Join(in.Answers, ",")
+		}
+		return fmt.Sprintf("%s\t%d\t%s\t%s\t%s\t%d\t%d\t%s\n",
+			in.Time.UTC().Format(time.RFC3339Nano), in.TxnID, in.ClientIP,
+			in.QName, in.QType, in.RCode, in.TTL, answers)
+	}
+	inputs := []Input{
+		{},
+		in(t0, "10.0.0.1", "www.example.com", []string{"1.2.3.4", "1.2.3.5"}, 0),
+		in(t0.Add(time.Second), "10.0.0.2", "gone.example.org", nil, 0),
+		in(t0.Add(500*time.Millisecond), "", "", []string{}, 4294967295),
+		in(t0.Add(120*time.Microsecond), "c", "q", []string{"x"}, 1),
+		in(t0.Add(123456789), "c", "q", []string{"a", "b", "c"}, 60),
+		in(time.Date(2018, 3, 1, 2, 30, 0, 10, time.FixedZone("east", 2*3600)), "c", "q", nil, 0),
+		in(time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), "c", "q", nil, 0),
+		{Time: t0, TxnID: 65535, QType: dnswire.Type(99), RCode: dnswire.RCode(255)},
+	}
+	s := dnssim.NewScenario(dnssim.SmallScenario(5))
+	s.Generate(func(ev dnssim.Event) {
+		if len(inputs) < 3000 {
+			inputs = append(inputs, Input(ev))
+		}
+	})
+	var buf bytes.Buffer
+	for _, in := range inputs {
+		buf.Reset()
+		if err := WriteLogLine(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(in); buf.String() != want {
+			t.Fatalf("WriteLogLine(%+v) = %q, the Fprintf form gives %q", in, buf.String(), want)
+		}
 	}
 }
 
@@ -484,29 +594,159 @@ func TestIngestHotPathAllocations(t *testing.T) {
 	if _, pinned := st.Hosts["02:00:00:00:00:01"]; !pinned {
 		t.Errorf("hosts %v: the lease's MAC is missing", st.Hosts)
 	}
+	// A restored processor's name table is empty: the first sighting of a
+	// name it already holds records the name, the next costs nothing. The
+	// same without leases, where the device is the client address.
+	for _, res := range []*dhcp.Resolver{dhcp.NewResolver(leases), nil} {
+		q, err := FromSnapshot(p.Snapshot(), RestoreConfig{DHCP: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Consume(seen)
+		q.Consume(seen)
+		if allocs := testing.AllocsPerRun(100, func() { q.Consume(seen) }); allocs != 0 {
+			t.Errorf("restored processor: Consume allocates %v times for an observation that adds no set member, want 0", allocs)
+		}
+	}
+
+	// A pass over a log allocates by the block, not by the line: the read
+	// buffer, a string a block, an Answers array every few thousand answers.
+	var log strings.Builder
+	const lines = 10000
+	for i := 0; i < lines; i++ {
+		log.WriteString(line)
+		log.WriteByte('\n')
+	}
+	read := 0
+	perPass := testing.AllocsPerRun(5, func() {
+		if err := ReadLog(strings.NewReader(log.String()), func(Input) { read++ }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read != 6*lines {
+		t.Fatalf("read %d lines in 6 passes over %d", read, lines)
+	}
+	if perLine := perPass / lines; perLine > 0.05 {
+		t.Errorf("ReadLog allocates %v times a line (%v a pass), want at most 0.05", perLine, perPass)
+	}
 }
 
-// Consume skips set inserts that an earlier insert for the same
-// observation proves redundant. Whatever the arrival order and the bucket
-// width, and across a snapshot and restore, the aggregates must equal
-// those of the plain rule: every observation puts its device in the
-// device set and its FQDN and e2LD in its bucket.
+// lineSource is a log of n generated lines that exists only as it is
+// read. Every name is one of 100 and every field repeats, but a new
+// client address and a new answer address keep appearing to the end, so
+// every block holds a string the processor will keep.
+type lineSource struct {
+	n, next int
+	pending []byte
+	read    int // bytes handed out
+}
+
+func (s *lineSource) Read(p []byte) (int, error) {
+	for len(s.pending) < len(p) && s.next < s.n {
+		i := s.next
+		s.next++
+		s.pending = appendLogLine(s.pending, Input{
+			Time:     t0.Add(time.Duration(i%3600) * time.Second),
+			TxnID:    uint16(i),
+			ClientIP: fmt.Sprintf("10.1.%d.%d", i/4000%250, i%50),
+			QName:    fmt.Sprintf("host%d.site%d.example", i%100, i%20),
+			QType:    dnswire.TypeA,
+			TTL:      uint32(60 * (i%5 + 1)),
+			Answers:  []string{fmt.Sprintf("198.51.%d.%d", i/3000%250, i%40)},
+		})
+	}
+	if len(s.pending) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.pending)
+	s.pending = s.pending[:copy(s.pending, s.pending[n:])]
+	s.read += n
+	return n, nil
+}
+
+// A processor fed by ReadLog keeps its own copies of the strings it
+// keeps, not the blocks they were cut from: after 32 MiB of log whose
+// every block contributes a set member, the heap has grown by the
+// aggregates and not by the log.
+func TestIngestRetainsNoBlocks(t *testing.T) {
+	const lines = 32 << 20 / 78 // a line is 79 or 80 bytes
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := NewProcessor(Config{Start: t0, Days: 1})
+	src := &lineSource{n: lines}
+	if err := ReadLog(src, p.Consume); err != nil {
+		t.Fatal(err)
+	}
+	src.pending = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if p.TotalQueries() != lines || src.read < 32<<20 || len(p.Stats()) != 20 {
+		t.Fatalf("consumed %d of %d lines, %d bytes, into %d domains", p.TotalQueries(), lines, src.read, len(p.Stats()))
+	}
+	devices, ips := p.DeviceCount(), 0
+	for _, st := range p.Stats() {
+		ips += len(st.IPs)
+	}
+	if devices < 1000 || ips < 1000 {
+		t.Fatalf("%d devices and %d addresses: the log does not spread its set members over its blocks", devices, ips)
+	}
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 2<<20 {
+		t.Errorf("heap grew by %d KiB over a %d MiB log, want under 2 MiB: something keeps the blocks", growth>>10, src.read>>20)
+	}
+	runtime.KeepAlive(p)
+}
+
+// Consume skips set inserts, and whole lookups, that an earlier insert
+// for the same observation or the same name proves redundant. Whatever
+// the arrival order and the bucket width, across a snapshot and restore
+// and across a Merge (both leave the name table empty), the aggregates
+// must equal those of the plain rule: every observation with an e2LD puts
+// its name in that e2LD's FQDNs, its device in the device set and its
+// FQDN and e2LD in its bucket, and every other observation is skipped.
 func TestConsumeSkipsOnlyRedundantInserts(t *testing.T) {
 	s := dnssim.NewScenario(dnssim.SmallScenario(4))
 	events := s.Collect()
 	if len(events) > 20000 {
 		events = events[:20000]
 	}
+	// Spellings the generator does not produce: a name in another case is
+	// another FQDN of the same e2LD, and a name without an e2LD is skipped
+	// each time it comes.
+	var inputs []Input
+	for i, ev := range events {
+		in := Input(ev)
+		inputs = append(inputs, in)
+		switch i % 40 {
+		case 0:
+			in.QName = strings.ToUpper(in.QName[:1]) + in.QName[1:]
+			inputs = append(inputs, in)
+		case 1:
+			in.QName = []string{"com", "", "co.uk", "Com."}[i/40%4]
+			inputs = append(inputs, in)
+		}
+	}
 	for _, bucket := range []time.Duration{time.Hour, 24 * time.Hour, 0} {
-		p := NewProcessor(Config{Start: s.Config.Start, Days: s.Config.Days, Bucket: bucket, DHCP: s.DHCP()})
+		cfg := Config{Start: s.Config.Start, Days: s.Config.Days, Bucket: bucket, DHCP: s.DHCP()}
+		p, side := NewProcessor(cfg), NewProcessor(cfg)
 		devices := map[string]struct{}{}
+		fqdns := map[string]map[string]struct{}{}
 		type accum struct {
 			queries      int
 			fqdns, e2lds map[string]struct{}
 		}
 		buckets := map[int]*accum{}
-		for i, ev := range events {
-			if i == len(events)/2 {
+		skipped := 0
+		for i, in := range inputs {
+			switch i {
+			case len(inputs) / 2:
+				// The second quarter went to another processor (another
+				// shard's share of the day); fold it in.
+				var err error
+				if p, err = Merge(p, side); err != nil {
+					t.Fatal(err)
+				}
+			case len(inputs) * 3 / 4:
 				// A restored processor keeps consuming (a shard worker's
 				// replay), so the skips must hold across a snapshot too.
 				var err error
@@ -514,10 +754,14 @@ func TestConsumeSkipsOnlyRedundantInserts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			in := Input(ev)
-			p.Consume(in)
+			if i >= len(inputs)/4 && i < len(inputs)/2 {
+				side.Consume(in)
+			} else {
+				p.Consume(in)
+			}
 			e2, err := etld.E2LD(in.QName)
 			if err != nil {
+				skipped++
 				continue
 			}
 			device := in.ClientIP
@@ -525,6 +769,10 @@ func TestConsumeSkipsOnlyRedundantInserts(t *testing.T) {
 				device = mac
 			}
 			devices[device] = struct{}{}
+			if fqdns[e2] == nil {
+				fqdns[e2] = map[string]struct{}{}
+			}
+			fqdns[e2][in.QName] = struct{}{}
 			bi := p.bucketIndex(in.Time)
 			if buckets[bi] == nil {
 				buckets[bi] = &accum{fqdns: map[string]struct{}{}, e2lds: map[string]struct{}{}}
@@ -533,8 +781,43 @@ func TestConsumeSkipsOnlyRedundantInserts(t *testing.T) {
 			buckets[bi].fqdns[in.QName] = struct{}{}
 			buckets[bi].e2lds[e2] = struct{}{}
 		}
+		if p.Skipped() != skipped || skipped == 0 || p.TotalQueries() != len(inputs)-skipped {
+			t.Errorf("bucket %v: %d consumed and %d skipped, the plain rule gives %d and %d",
+				bucket, p.TotalQueries(), p.Skipped(), len(inputs)-skipped, skipped)
+		}
 		if !reflect.DeepEqual(p.devices, devices) {
 			t.Errorf("bucket %v: %d devices, the plain rule gives %d", bucket, len(p.devices), len(devices))
+		}
+		if len(p.stats) != len(fqdns) {
+			t.Errorf("bucket %v: %d domains, the plain rule gives %d", bucket, len(p.stats), len(fqdns))
+		}
+		mixedCase := 0
+		for e2, want := range fqdns {
+			if st := p.stats[e2]; st == nil || !reflect.DeepEqual(st.FQDNs, want) {
+				t.Errorf("bucket %v: FQDNs of %s differ from the plain rule's", bucket, e2)
+			}
+			for name := range want {
+				if name != strings.ToLower(name) {
+					mixedCase++
+				}
+			}
+		}
+		if mixedCase == 0 {
+			t.Errorf("bucket %v: no mixed-case spelling was kept as its own FQDN", bucket)
+		}
+		// The name table holds members of the FQDNs sets and nothing else.
+		if len(p.names) == 0 {
+			t.Errorf("bucket %v: the name table is empty after %d observations", bucket, len(inputs)/4)
+		}
+		for name, st := range p.names {
+			e2, err := etld.E2LD(name)
+			if err != nil || p.stats[e2] != st {
+				t.Errorf("bucket %v: name table maps %q to an entry that is not its e2LD's", bucket, name)
+				continue
+			}
+			if _, ok := st.FQDNs[name]; !ok {
+				t.Errorf("bucket %v: name table holds %q, which is not in %s's FQDNs", bucket, name, e2)
+			}
 		}
 		if len(p.buckets) != len(buckets) {
 			t.Fatalf("bucket %v: %d buckets, the plain rule gives %d", bucket, len(p.buckets), len(buckets))

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dnswire"
@@ -29,46 +32,170 @@ func WriteLog(w io.Writer, inputs []Input) error {
 	return bw.Flush()
 }
 
-// WriteLogLine writes a single observation line.
+// lineBufs holds WriteLogLine's line buffers between calls.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteLogLine writes a single observation line, in one Write.
 func WriteLogLine(w io.Writer, in Input) error {
-	answers := "-"
-	if len(in.Answers) > 0 {
-		answers = strings.Join(in.Answers, ",")
-	}
-	_, err := fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\t%d\t%d\t%s\n",
-		in.Time.UTC().Format(time.RFC3339Nano), in.TxnID, in.ClientIP,
-		in.QName, in.QType, in.RCode, in.TTL, answers)
+	buf := lineBufs.Get().(*[]byte)
+	*buf = appendLogLine((*buf)[:0], in)
+	_, err := w.Write(*buf)
+	lineBufs.Put(buf)
 	return err
 }
 
+// appendLogLine appends in's line, newline included, to dst.
+func appendLogLine(dst []byte, in Input) []byte {
+	dst = in.Time.UTC().AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, '\t')
+	dst = strconv.AppendUint(dst, uint64(in.TxnID), 10)
+	dst = append(dst, '\t')
+	dst = append(dst, in.ClientIP...)
+	dst = append(dst, '\t')
+	dst = append(dst, in.QName...)
+	dst = append(dst, '\t')
+	dst = append(dst, in.QType.String()...)
+	dst = append(dst, '\t')
+	dst = strconv.AppendUint(dst, uint64(in.RCode), 10)
+	dst = append(dst, '\t')
+	dst = strconv.AppendUint(dst, uint64(in.TTL), 10)
+	dst = append(dst, '\t')
+	if len(in.Answers) == 0 {
+		dst = append(dst, '-')
+	}
+	for i, ip := range in.Answers {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, ip...)
+	}
+	return append(dst, '\n')
+}
+
+const (
+	// readBlock is how much of the log ReadLog reads, and copies into one
+	// string, at a time.
+	readBlock = 256 << 10
+	// maxLine bounds a line, its newline included. A longer one is an
+	// error, not a reason to buffer without limit.
+	maxLine = 1 << 20
+	// slabAnswers is how many answers share one allocation.
+	slabAnswers = 4096
+)
+
 // ReadLog parses the text log format from r, calling emit for every
 // observation. It fails fast on the first malformed line, reporting its
-// line number.
+// line number; a line of more than 1 MiB, counting a newline whether or
+// not the last line has one, is malformed.
+// Blank lines and lines starting with '#' are skipped, a line may end in
+// CRLF, and the last line needs no newline. After a read error the lines
+// already complete are emitted, the unfinished one is not, and the error
+// is returned.
+//
+// ReadLog reads r in blocks of 256 KiB and does its own buffering: hand
+// it the file, not a bufio.Reader around it, which would only copy every
+// byte a second time.
+//
+// The strings of an emitted Input are substrings of one string per
+// block, and its Answers is a slice, clipped to its length, of an array
+// shared with the few thousand answers around it. A sink that keeps an
+// Input, or any string of one, therefore keeps that whole block
+// reachable, and one that keeps an Answers slice the blocks of the lines
+// around it too; a sink that keeps a few short strings out of many lines
+// should strings.Clone them, as Processor.Consume does.
 func ReadLog(r io.Reader, emit func(Input)) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	buf := make([]byte, readBlock)
+	slab := answerSlab{chunk: slabAnswers}
 	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for held := 0; ; {
+		// buf[:held] is the start of a line whose end is not read yet.
+		n, readErr := fill(r, buf[held:])
+		data := buf[:held+n]
+		atEOF := errors.Is(readErr, io.EOF)
+		end := len(data)
+		if !atEOF {
+			end = bytes.LastIndexByte(data, '\n') + 1
 		}
-		in, err := ParseLogLine(line)
-		if err != nil {
-			return fmt.Errorf("pipeline: line %d: %w", lineNo, err)
+		block := string(data[:end])
+		for block != "" {
+			var line string
+			line, block, _ = strings.Cut(block, "\n")
+			lineNo++
+			line = strings.TrimSuffix(line, "\r")
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			in, err := parseLogLine(line, &slab)
+			if err != nil {
+				return fmt.Errorf("pipeline: line %d: %w", lineNo, err)
+			}
+			emit(in)
 		}
-		emit(in)
+		if atEOF {
+			return nil
+		}
+		if readErr != nil {
+			return fmt.Errorf("pipeline: reading log: %w", readErr)
+		}
+		held = copy(buf, data[end:])
+		if held == len(buf) {
+			if held >= maxLine {
+				return fmt.Errorf("pipeline: line %d: longer than %d bytes", lineNo+1, maxLine)
+			}
+			buf = append(buf, make([]byte, len(buf))...)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("pipeline: reading log: %w", err)
+}
+
+// fill reads from r until buf is full or r fails, and returns r's error
+// as it came. io.ReadFull would turn an io.EOF after some bytes into
+// io.ErrUnexpectedEOF, which is also what a truncated compressed stream
+// reports of itself; this way io.EOF alone means the log ended.
+func fill(r io.Reader, buf []byte) (n int, err error) {
+	for empty := 0; n < len(buf) && err == nil; {
+		var m int
+		m, err = r.Read(buf[n:])
+		n += m
+		if m > 0 {
+			empty = 0
+		} else if empty++; empty >= 100 && err == nil {
+			err = io.ErrNoProgress
+		}
 	}
-	return nil
+	return n, err
+}
+
+// answerSlab hands out Answers slices, chunk elements to an allocation.
+// A slab is never reused: the slices it handed out stay valid for as long
+// as anything holds them.
+type answerSlab struct {
+	free  []string
+	chunk int
+}
+
+// take returns a slice of n elements with no spare capacity, so that an
+// append to it cannot reach its neighbour's elements.
+func (s *answerSlab) take(n int) []string {
+	if n > len(s.free) {
+		if n > s.chunk {
+			return make([]string, n)
+		}
+		s.free = make([]string, s.chunk)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // ParseLogLine parses one text log line. Every string in the result is a
-// substring of line; the only allocation is the Answers slice.
+// substring of line, so the result keeps line reachable; the only
+// allocation is the Answers slice.
 func ParseLogLine(line string) (Input, error) {
+	return parseLogLine(line, &answerSlab{})
+}
+
+// parseLogLine is ParseLogLine with the Answers slice taken from slab.
+func parseLogLine(line string, slab *answerSlab) (Input, error) {
 	var fields [8]string
 	rest := line
 	for i := range fields[:7] {
@@ -116,7 +243,7 @@ func ParseLogLine(line string) (Input, error) {
 		TTL:      uint32(ttl),
 	}
 	if fields[7] != "-" {
-		if in.Answers, err = parseAnswers(fields[7]); err != nil {
+		if in.Answers, err = parseAnswers(fields[7], slab); err != nil {
 			return Input{}, err
 		}
 	}
@@ -126,15 +253,14 @@ func ParseLogLine(line string) (Input, error) {
 // parseAnswers cuts a comma-separated answer list. An empty element is
 // an error: stored as an address it would be one vertex of the IP view
 // shared by every domain with such a line.
-func parseAnswers(list string) ([]string, error) {
-	answers := make([]string, 0, strings.Count(list, ",")+1)
-	for rest, more := list, true; more; {
-		var ip string
-		ip, rest, more = strings.Cut(rest, ",")
-		if ip == "" {
+func parseAnswers(list string, slab *answerSlab) ([]string, error) {
+	answers := slab.take(strings.Count(list, ",") + 1)
+	rest := list
+	for i := range answers {
+		answers[i], rest, _ = strings.Cut(rest, ",")
+		if answers[i] == "" {
 			return nil, fmt.Errorf("empty answer in %q (an empty list is written \"-\")", list)
 		}
-		answers = append(answers, ip)
 	}
 	return answers, nil
 }

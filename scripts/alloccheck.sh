@@ -6,7 +6,7 @@
 # above the declaration, in the packages listed below) are the
 # per-request hot path of the serving daemon (Scorer lookups, the cold
 # fold-in behind a cache miss and the daemon's score handler), the
-# per-event e2LD extraction of ingest, and
+# per-event e2LD extraction and lease lookup of ingest, and
 # the per-sample work of LINE training (matrix.sample, matrix.step and
 # AliasTable.Sample).
 # This script runs the compiler's escape analysis
@@ -27,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline="scripts/alloccheck.baseline"
-packages="internal/core internal/serve internal/etld internal/line internal/graph"
+packages="internal/core internal/serve internal/etld internal/dhcp internal/line internal/graph"
 update=0
 [ "${1:-}" = "-update" ] && update=1
 

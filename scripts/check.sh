@@ -243,6 +243,7 @@ if [ "$fuzztime" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzDecodeMessage$' -fuzztime="$fuzztime" ./internal/dnswire
     go test -run='^$' -fuzz='^FuzzParseETLD$' -fuzztime="$fuzztime" ./internal/etld
     go test -run='^$' -fuzz='^FuzzParseLogLine$' -fuzztime="$fuzztime" ./internal/pipeline
+    go test -run='^$' -fuzz='^FuzzReadLog$' -fuzztime="$fuzztime" ./internal/pipeline
     go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime="$fuzztime" ./internal/stream
     go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime="$fuzztime" ./internal/crcio
     go test -run='^$' -fuzz='^FuzzDecodeNDJSON$' -fuzztime="$fuzztime" ./internal/serve
