@@ -38,7 +38,7 @@ func runLoadgen(args []string) error {
 		retries     = fs.Int("retries", 0, "retries per request on transport errors and 503")
 		backoff     = fs.Duration("backoff", 20*time.Millisecond, "base retry backoff (doubles per attempt)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request timeout")
-		jsonOut     = fs.Bool("json", false, "emit the report in cmd/benchjson's JSON schema")
+		jsonOut     = fs.Bool("json", false, "emit the report as JSON in the BENCH_*.json schema")
 		name        = fs.String("name", "BenchmarkLoadgen", "benchmark name for -json output")
 		check       = fs.Bool("check", false, "exit nonzero unless the run had successes and no errors")
 	)

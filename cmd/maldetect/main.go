@@ -44,8 +44,8 @@
 // The loadgen subcommand (loadgen.go) drives a running daemon with a
 // worker-pool HTTP client — paced or closed-loop, single GETs or
 // batches, optionally over the NDJSON framing — and reports sustained
-// throughput with latency percentiles, as text or in cmd/benchjson's
-// JSON schema. NDJSON runs parse the enriched result lines and tally
+// throughput with latency percentiles, as text or as JSON in the
+// BENCH_*.json schema. NDJSON runs parse the enriched result lines and tally
 // verdict sources (model vs foldin vs knn) into the report.
 //
 // The stream subcommand runs the crash-safe rolling detector

@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"time"
 
 	maldomain "repro"
@@ -61,7 +60,7 @@ func main() {
 		"rmwpqard.ws": {"203.0.113.8", "203.0.113.9"},
 		"zznhkpo.ws":  {"203.0.113.7", "203.0.113.9"},
 	}
-	cncNames := keys(cnc)
+	cncNames := []string{"qlkjxzv.ws", "rmwpqard.ws", "zznhkpo.ws"}
 
 	// 12 ordinary hosts each browse 6 of the 20 benign sites; hosts 0-2
 	// are also infected and beacon to the C&C trio.
@@ -113,36 +112,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	type scored struct {
-		domain string
-		score  float64
+	held, ok := clf.Score("zznhkpo.ws")
+	if !ok {
+		log.Fatal("held-out C&C domain zznhkpo.ws was pruned")
 	}
-	var ranking []scored
+	rank, scored := 1, 0
 	fmt.Println("\nscores (higher = more suspicious):")
 	for _, d := range domains {
 		if s, ok := clf.Score(d); ok {
 			fmt.Printf("  %-16s %+.3f\n", d, s)
-			ranking = append(ranking, scored{d, s})
-		}
-	}
-	sort.Slice(ranking, func(i, j int) bool { return ranking[i].score > ranking[j].score })
-	for rank, r := range ranking {
-		if r.domain == "zznhkpo.ws" {
-			fmt.Printf("\nheld-out C&C domain zznhkpo.ws ranks #%d of %d by suspicion\n",
-				rank+1, len(ranking))
-			if rank < 3 {
-				fmt.Println("correctly surfaced at the top of the ranking")
+			scored++
+			if s > held {
+				rank++
 			}
-			break
 		}
 	}
-}
-
-func keys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	fmt.Printf("\nheld-out C&C domain zznhkpo.ws ranks #%d of %d by suspicion\n", rank, scored)
+	if rank <= 3 {
+		fmt.Println("correctly surfaced at the top of the ranking")
 	}
-	sort.Strings(out)
-	return out
 }

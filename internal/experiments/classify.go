@@ -26,7 +26,7 @@ type ClassificationResult struct {
 // three-view embedding — with k-fold cross-validation, reproducing the
 // ROC of Figure 6 (paper AUC: 0.94).
 func (e *Env) Fig6() (ClassificationResult, error) {
-	return e.embeddingCV("combined", bipartite.Views...)
+	return e.ClassifierCV("combined", "", bipartite.Views...)
 }
 
 // Fig7 evaluates each view's embedding alone, reproducing Figure 7
@@ -34,7 +34,7 @@ func (e *Env) Fig6() (ClassificationResult, error) {
 func (e *Env) Fig7() (map[bipartite.View]ClassificationResult, error) {
 	out := make(map[bipartite.View]ClassificationResult, 3)
 	for _, v := range bipartite.Views {
-		r, err := e.embeddingCV(v.String(), v)
+		r, err := e.ClassifierCV(v.String(), "", v)
 		if err != nil {
 			return nil, fmt.Errorf("view %v: %w", v, err)
 		}
@@ -43,15 +43,10 @@ func (e *Env) Fig7() (map[bipartite.View]ClassificationResult, error) {
 	return out, nil
 }
 
-// embeddingCV cross-validates the configured classifier on embeddings
-// from the given views.
-func (e *Env) embeddingCV(name string, views ...bipartite.View) (ClassificationResult, error) {
-	return e.classifierCV(name, "", views...)
-}
-
-// classifierCV cross-validates the named classification backend ("" =
-// the configured default) on embeddings from the given views.
-func (e *Env) classifierCV(name, classifier string, views ...bipartite.View) (ClassificationResult, error) {
+// ClassifierCV cross-validates the named classification backend ("" =
+// the configured default) on embeddings from the given views. Over
+// Envs built with each Options.Embedder it is the backend grid.
+func (e *Env) ClassifierCV(name, classifier string, views ...bipartite.View) (ClassificationResult, error) {
 	scores, err := eval.CrossValidate(e.Labels, e.Opts.KFolds, e.Opts.Seed^0xf01d5,
 		func(trainIdx []int) (func(int) float64, error) {
 			td := make([]string, len(trainIdx))
@@ -83,24 +78,36 @@ func (e *Env) ExposureBaseline() (ClassificationResult, error) {
 	days := e.Scenario.Config.Days
 	X := exposure.ExtractAll(stats, e.Domains, days)
 
-	scores, err := eval.CrossValidate(e.Labels, e.Opts.KFolds, e.Opts.Seed^0xe4905,
-		func(trainIdx []int) (func(int) float64, error) {
-			tx := make([][]float64, len(trainIdx))
-			tl := make([]int, len(trainIdx))
-			for i, idx := range trainIdx {
-				tx[i] = X[idx]
-				tl[i] = e.Labels[idx]
-			}
-			tree, err := j48.Train(tx, tl, j48.Config{})
+	scores, err := rowsCV(X, e.Labels, e.Opts.KFolds, e.Opts.Seed^0xe4905,
+		func(tx [][]float64, ty []int) (func([]float64) float64, error) {
+			tree, err := j48.Train(tx, ty, j48.Config{})
 			if err != nil {
 				return nil, err
 			}
-			return func(i int) float64 { return tree.Score(X[i]) - 0.5 }, nil
+			return func(x []float64) float64 { return tree.Score(x) - 0.5 }, nil
 		})
 	if err != nil {
 		return ClassificationResult{}, err
 	}
 	return summarize("exposure-j48", scores, e.Labels)
+}
+
+// rowsCV cross-validates fit over feature rows X with labels y and
+// returns the pooled out-of-fold scores.
+func rowsCV(X [][]float64, y []int, k int, seed uint64,
+	fit func(tx [][]float64, ty []int) (func([]float64) float64, error)) ([]float64, error) {
+	return eval.CrossValidate(y, k, seed, func(trainIdx []int) (func(int) float64, error) {
+		tx := make([][]float64, len(trainIdx))
+		ty := make([]int, len(trainIdx))
+		for i, j := range trainIdx {
+			tx[i], ty[i] = X[j], y[j]
+		}
+		score, err := fit(tx, ty)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) float64 { return score(X[i]) }, nil
+	})
 }
 
 func summarize(name string, scores []float64, labels []int) (ClassificationResult, error) {

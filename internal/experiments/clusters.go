@@ -38,13 +38,7 @@ func (e *Env) clusterAll() (*clusterModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	kMax := len(retained) / 40
-	if kMax < 16 {
-		kMax = 16
-	}
-	if kMax > 160 {
-		kMax = 160
-	}
+	kMax := min(max(len(retained)/40, 16), 160)
 	res, kept, err := e.Detector.ClusterDomains(retained, xmeans.Config{
 		KMin: 8, KMax: kMax, Seed: e.Opts.Seed ^ 0xc1573,
 	})
@@ -97,15 +91,13 @@ func (e *Env) Clusters() ([]ClusterReport, error) {
 // matches, reproducing Table 1 (style "wordlist": spam .bid domains) and
 // Table 2 (style "conficker": DGA .ws domains).
 func FindStyleCluster(reports []ClusterReport, style string) (ClusterReport, bool) {
-	best := ClusterReport{}
-	found := false
+	var best ClusterReport
 	for _, r := range reports {
 		if r.MajorityStyle == style && len(r.Domains) > len(best.Domains) {
 			best = r
-			found = true
 		}
 	}
-	return best, found
+	return best, best.Domains != nil
 }
 
 // SeedExpansionPoint is one point of Figure 4: starting from SeedSize
@@ -147,9 +139,7 @@ func (e *Env) Fig4(seedSizes []int) ([]SeedExpansionPoint, error) {
 	members := cm.res.Members()
 	out := make([]SeedExpansionPoint, 0, len(seedSizes))
 	for _, size := range seedSizes {
-		if size > len(pool) {
-			size = len(pool)
-		}
+		size = min(size, len(pool))
 		seeds := make(map[string]bool, size)
 		hit := make(map[int]bool)
 		for _, d := range pool[:size] {
@@ -206,9 +196,7 @@ func (e *Env) Fig5() (*Fig5Result, error) {
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if len(candidates) > 5 {
-		candidates = candidates[:5]
-	}
+	candidates = candidates[:min(len(candidates), 5)]
 
 	res := &Fig5Result{}
 	var points [][]float64

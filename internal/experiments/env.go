@@ -1,17 +1,24 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§7-§8) against the synthetic campus scenario. It is shared
-// by cmd/experiments (human-readable reports, EXPERIMENTS.md data) and
-// the root-level benchmark suite (one testing.B benchmark per artifact).
+// Package experiments is the one implementation of every table and
+// figure of the paper's evaluation (§7-§8) and of every ablation,
+// against the synthetic campus scenario. cmd/experiments is its one
+// entry point (EXPERIMENTS.md's tables, BENCH_8.json); the package's
+// tests check each artefact's shape at small scale.
 //
 // Per-artifact index (see DESIGN.md §3 for the full mapping):
 //
-//	Fig1      traffic volume and unique FQDN/e2LD series
-//	Table1/2  spam and DGA cluster examples with threat-intel tags
-//	Fig4      seed-expansion discovery counts
-//	Fig5      t-SNE layout of five random clusters
-//	Fig6      combined-feature ROC / AUC under 10-fold CV
-//	Fig7      per-view AUCs
-//	§8.2      Exposure (J48 over statistical features) baseline AUC
+//	Fig1                traffic volume and unique FQDN/e2LD series
+//	Table1/2            spam and DGA cluster examples with threat-intel tags
+//	Fig4                seed-expansion discovery counts
+//	Fig5                t-SNE layout of five random clusters
+//	Fig6                combined-feature ROC / AUC under 10-fold CV
+//	Fig7                per-view AUCs
+//	§8.2                Exposure (J48 over statistical features) baseline AUC
+//	BeliefPropBaseline  graph-inference baseline AUC (beyond the paper)
+//	SelfTraining        §7.2.1 label acquisition rounds
+//	FlowPatterns        §7.2.2 per-family C&C traffic patterns
+//	KnobAUC, SweepKnobs embedding-stage ablations (DESIGN.md §4)
+//	ClassifierCV        any registered classifier over any views; per
+//	                    Options.Embedder, the backend grid (BENCH_8.json)
 package experiments
 
 import (
@@ -33,16 +40,10 @@ type Options struct {
 	EmbedDim int
 	// MaxLabeled stratified-subsamples the labeled set to at most this
 	// many domains (0 = no cap). The SVM's SMO is quadratic-ish in the
-	// training size, so benchmarks cap this.
+	// training size, so long runs cap this.
 	MaxLabeled int
-	// Workers bounds parallelism (0 = all cores).
-	Workers int
 	// KFolds for cross-validation (default 10, the paper's k).
 	KFolds int
-	// MinSimilarity is the projection edge threshold (default 0.05 at
-	// experiment scale, which keeps graph memory bounded and trims the
-	// weakest coincidental-overlap edges).
-	MinSimilarity float64
 	// Embedder selects the feature-learning backend by registered name
 	// ("" = line), for the backend ablation sweep.
 	Embedder string
@@ -54,9 +55,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.KFolds <= 0 {
 		o.KFolds = 10
-	}
-	if o.MinSimilarity == 0 {
-		o.MinSimilarity = 0.05
 	}
 	return o
 }
@@ -89,9 +87,8 @@ func Build(scfg dnssim.Config, opts Options) (*Env, error) {
 		Days:              scfg.Days,
 		DHCP:              s.DHCP(),
 		EmbedDim:          opts.EmbedDim,
-		MinSimilarity:     opts.MinSimilarity,
+		MinSimilarity:     0.05, // bounds graph memory, trims coincidental overlaps
 		TimeMinSimilarity: 0.015,
-		Workers:           opts.Workers,
 		Seed:              opts.Seed,
 		Embedder:          opts.Embedder,
 	})
@@ -131,10 +128,7 @@ func subsample(domains []string, labels []int, n int, seed uint64) ([]string, []
 	for _, c := range []int{0, 1} {
 		idx := byClass[c]
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		take := int(frac*float64(len(idx)) + 0.5)
-		if take > len(idx) {
-			take = len(idx)
-		}
+		take := min(int(frac*float64(len(idx))+0.5), len(idx))
 		keep = append(keep, idx[:take]...)
 	}
 	sort.Ints(keep)

@@ -151,7 +151,7 @@ func TestClustersAndTables(t *testing.T) {
 	if len(spam.Domains) < 5 || spam.TaggedFrac < 0.5 {
 		t.Errorf("spam cluster weak: %d domains, %.2f tagged", len(spam.Domains), spam.TaggedFrac)
 	}
-	for _, d := range spam.Domains[:minInt(5, len(spam.Domains))] {
+	for _, d := range spam.Domains[:min(5, len(spam.Domains))] {
 		if !strings.HasSuffix(d, ".bid") {
 			t.Logf("note: spam cluster member %s not on .bid", d)
 		}
@@ -192,7 +192,7 @@ func TestFig4SeedExpansion(t *testing.T) {
 	// counts the small-scale pool saturates (seeds consume the very
 	// domains they would have discovered), so no factor check there.
 	if pts[1].True < 2*pts[1].SeedSize {
-		t.Errorf("expansion factor at %d seeds only %dx", pts[1].SeedSize, pts[1].True/maxInt(1, pts[1].SeedSize))
+		t.Errorf("expansion factor at %d seeds only %dx", pts[1].SeedSize, pts[1].True/max(1, pts[1].SeedSize))
 	}
 	t.Logf("seed expansion: %+v", pts)
 }
@@ -221,20 +221,6 @@ func TestFlowPatterns(t *testing.T) {
 	if !strings.Contains(out, "conficker") || !strings.Contains(out, "ports") {
 		t.Errorf("flow pattern report malformed:\n%s", out)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestBeliefPropBaseline(t *testing.T) {
@@ -279,5 +265,51 @@ func TestSelfTraining(t *testing.T) {
 		first, last, rounds[0].Added, rounds[1].Added, rounds[2].Added)
 	if last < first-0.05 {
 		t.Errorf("self-training degraded AUC: %.3f -> %.3f", first, last)
+	}
+}
+
+func TestKnobGrid(t *testing.T) {
+	var cells, atDefault []string
+	for _, c := range KnobGrid {
+		cells = append(cells, c.Sweep+"/"+c.Name)
+		if c.Knobs == DefaultKnobs {
+			atDefault = append(atDefault, c.Sweep+"/"+c.Name)
+		}
+	}
+	want := "LINE order/first,LINE order/second,LINE order/both," +
+		"Embedding dim/dim8,Embedding dim/dim16,Embedding dim/dim32,Embedding dim/dim64," +
+		"Projection threshold/keepall,Projection threshold/t01,Projection threshold/t05,Projection threshold/t10," +
+		"Pruning/paper,Pruning/off,Similarity measure/jaccard,Similarity measure/cosine,Similarity measure/overlap," +
+		"Negative samples/neg1,Negative samples/neg5,Negative samples/neg10"
+	if got := strings.Join(cells, ","); got != want {
+		t.Errorf("grid cells\n%s\nwant\n%s", got, want)
+	}
+	want = "LINE order/both,Embedding dim/dim32,Pruning/paper,Similarity measure/jaccard,Negative samples/neg5"
+	if got := strings.Join(atDefault, ","); got != want {
+		t.Errorf("cells at the default knobs %s, want %s", got, want)
+	}
+
+	// Each distinct setting is evaluated once and every cell gets its
+	// setting's value.
+	n, calls := 0, map[Knobs]float64{}
+	aucs, evals, err := SweepKnobs(func(k Knobs) (float64, error) {
+		n++
+		calls[k] = float64(n)
+		return calls[k], nil
+	})
+	if err != nil || n != 15 || evals != 15 {
+		t.Errorf("sweep made %d evaluations (reported %d), err %v; want 15", n, evals, err)
+	}
+	for i, c := range KnobGrid {
+		if aucs[i] != calls[c.Knobs] {
+			t.Errorf("cell %s/%s got %v, want its setting's %v", c.Sweep, c.Name, aucs[i], calls[c.Knobs])
+		}
+	}
+
+	// One non-default cell (dim8), evaluated for real.
+	auc, err := testEnv(t).KnobAUC(KnobGrid[3].Knobs)
+	t.Logf("dim8 AUC = %.4f", auc)
+	if err != nil || !(auc > 0.5 && auc <= 1) {
+		t.Errorf("dim8 AUC %.4f, err %v; want in (0.5, 1]", auc, err)
 	}
 }

@@ -33,13 +33,6 @@ type SelfTrainingRound struct {
 // and re-evaluates on a fixed held-out split. candidatesPerRound bounds
 // how many top-ranked domains are submitted for confirmation each round.
 func (e *Env) SelfTraining(rounds, candidatesPerRound int) ([]SelfTrainingRound, error) {
-	if rounds <= 0 {
-		rounds = 5
-	}
-	if candidatesPerRound <= 0 {
-		candidatesPerRound = 100
-	}
-
 	// Fixed held-out split (30%), stratified.
 	rng := mathx.NewRNG(e.Opts.Seed).SplitLabeled("selftrain")
 	perm := rng.Perm(len(e.Domains))
@@ -70,24 +63,16 @@ func (e *Env) SelfTraining(rounds, candidatesPerRound int) ([]SelfTrainingRound,
 
 	var out []SelfTrainingRound
 	for round := 0; round < rounds; round++ {
-		var trD []string
+		trIdx := make([]int, 0, len(training))
 		for i := range training {
-			trD = append(trD, e.Domains[i])
+			trIdx = append(trIdx, i)
 		}
-		sort.Strings(trD) // deterministic training order
-		labelOf := make(map[string]int, len(e.Domains))
-		for i, d := range e.Domains {
-			labelOf[d] = e.Labels[i]
-		}
-		trY := make([]int, len(trD))
-		nm, nb := 0, 0
-		for i, d := range trD {
-			trY[i] = labelOf[d]
-			if trY[i] == 1 {
-				nm++
-			} else {
-				nb++
-			}
+		// Deterministic training order: by domain.
+		sort.Slice(trIdx, func(a, b int) bool { return e.Domains[trIdx[a]] < e.Domains[trIdx[b]] })
+		trD, trY, nm := make([]string, len(trIdx)), make([]int, len(trIdx)), 0
+		for k, i := range trIdx {
+			trD[k], trY[k] = e.Domains[i], e.Labels[i]
+			nm += trY[k]
 		}
 
 		clf, err := e.Detector.TrainClassifier(trD, trY)
@@ -111,7 +96,7 @@ func (e *Env) SelfTraining(rounds, candidatesPerRound int) ([]SelfTrainingRound,
 		rec := SelfTrainingRound{
 			Round:          round,
 			TrainMalicious: nm,
-			TrainBenign:    nb,
+			TrainBenign:    len(trD) - nm,
 			HeldOutAUC:     auc,
 		}
 

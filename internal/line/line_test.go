@@ -187,7 +187,7 @@ func TestSelfLoopEdgesAreSkipped(t *testing.T) {
 	}
 }
 
-func TestDeterministicSingleWorker(t *testing.T) {
+func TestTrainDeterministic(t *testing.T) {
 	g := twoCliques(5)
 	cfg := Config{Dim: 8, Order: OrderFirst, Samples: 20_000, Seed: 11}
 	a, err := Train(g, cfg)
@@ -366,7 +366,7 @@ func TestWarmStartShrinksAutoSamples(t *testing.T) {
 	}
 }
 
-func TestWorkerSharesSumToSamples(t *testing.T) {
+func TestSamplesReportBudgetPerOrder(t *testing.T) {
 	// Embedding.Samples reports the steps performed: the budget, once
 	// per objective.
 	emb, err := Train(twoCliques(4), Config{Dim: 8, Order: OrderBoth, Samples: 10, Seed: 1})

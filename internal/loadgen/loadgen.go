@@ -145,10 +145,10 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// BenchJSON renders the report in cmd/benchjson's schema, so loadgen
-// results merge (benchjson -merge) with go test -bench output.
-// Iterations is the request count and ns_per_op the mean request
-// latency; rates and percentiles ride in metrics.
+// BenchJSON renders the report as a JSON object keyed by name, in the
+// schema of the repository's BENCH_*.json files. Iterations is the
+// request count and ns_per_op the median request latency; rates and
+// percentiles ride in metrics.
 func (r Report) BenchJSON(name string) ([]byte, error) {
 	var nsPerOp float64
 	if r.OK > 0 {

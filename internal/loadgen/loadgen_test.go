@@ -210,7 +210,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBenchJSON checks the report renders in cmd/benchjson's schema.
+// TestBenchJSON checks the report renders in the BENCH_*.json schema.
 func TestBenchJSON(t *testing.T) {
 	rep := Report{
 		Requests: 100, OK: 99, Errors: 1, Shed: 2,

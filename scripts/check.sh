@@ -15,9 +15,9 @@
 # shutdown), a crash-recovery smoke (streaming run SIGKILLed
 # mid-window, resumed from its checkpoint, feed compared byte-for-byte
 # against an uninterrupted run), the same again sharded (killed at two
-# shards, resumed at three), the ledger's quick smoke, and a short
-# fuzz smoke for each native fuzz target. Every step must pass; the
-# script stops at the first failure.
+# shards, resumed at three), the two examples, the ledger's quick smoke,
+# and a short fuzz smoke for each native fuzz target. Every step must
+# pass; the script stops at the first failure.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target -fuzztime for the smoke stage (default 10s;
@@ -233,6 +233,12 @@ crash_resume shard "-shards 2" "-shards 3"
 status=0
 "$smokedir/maldetect" stream -shard-dir x 2>/dev/null || status=$?
 [ "$status" = 2 ]
+
+echo "==> examples"
+# Each must run to its end: the toy trace surfaces its held-out C&C
+# domain, and the rolling detector reports a feed.
+grep -q 'correctly surfaced' <<<"$(go run ./examples/quickstart)"
+grep -q '^feed precision over' <<<"$(go run ./examples/streaming-detection)"
 
 echo "==> benchmark smoke (ledger quick run)"
 # Skipped under -race, so the race stage above does not cover it.
