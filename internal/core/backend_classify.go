@@ -232,7 +232,8 @@ func (c *labelpropClassifier) Decision(x []float64) float64 {
 }
 
 // labelpropWire is the persisted form of a fitted labelprop
-// classifier (exported fields only; gobfields patrols this).
+// classifier (exported fields only; TestNonDefaultRoundTrip compares
+// every reloaded decision).
 type labelpropWire struct {
 	K       int
 	Gamma   float64
@@ -380,7 +381,8 @@ func (c *ensembleClassifier) SVM() *svm.Model {
 }
 
 // ensembleWire is the persisted envelope preceding the member blobs
-// (exported fields only; gobfields patrols this).
+// (exported fields only; TestEnsembleRoundTrip compares every reloaded
+// decision).
 type ensembleWire struct {
 	Members []string
 	Shift   []float64

@@ -22,8 +22,9 @@ package core
 //     mutate the init rows, which alias the previous window's live
 //     model.
 //   - Persistence: a DomainClassifier's Save must write only
-//     gob-friendly wire structs with exported fields (maldlint's
-//     gobfields check patrols this), and the registered loader must
+//     gob-friendly wire structs with exported fields (gob drops the
+//     rest silently; the round-trip tests compare every reloaded
+//     decision), and the registered loader must
 //     read back a classifier whose Decision is bit-identical to the
 //     saved one.
 

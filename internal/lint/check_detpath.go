@@ -8,18 +8,16 @@ import (
 
 // DetPathCheck enforces the //maldlint:deterministic annotation
 // contract: packages whose model state and output must be bit-identical
-// run to run (pipeline, line, core, stream) may not consult the wall
-// clock, draw from the global math/rand generators, or let map
-// iteration order choose what they return. The compiler cannot see the
-// bit-identical-merge and byte-identical-resume promises those packages
-// make (PR 3/5); this check can.
+// run to run (pipeline, line, core, stream, mfembed) may not consult the
+// wall clock or let map iteration order choose what they return. The
+// compiler cannot see the bit-identical-merge and byte-identical-resume
+// promises those packages make; this check can. (Global math/rand needs
+// an import, which mathrand already bans everywhere but internal/mathx.)
 //
 // Inside an annotated package's non-test files it flags:
 //
 //   - calls to time.Now (wall-clock state; observability-only uses get
 //     a //maldlint:ignore detpath with rationale);
-//   - any reference to math/rand or math/rand/v2 (belt to mathrand's
-//     suspenders: that check bans the import, this one the use sites);
 //   - a return inside a range-over-map body whose result expressions
 //     mention the iteration variables — the function's output is then
 //     chosen by randomized map order;
@@ -33,32 +31,8 @@ func (*DetPathCheck) Name() string { return "detpath" }
 
 // Doc implements Check.
 func (*DetPathCheck) Doc() string {
-	return "forbid wall clock, global rand, and order-dependent map exits in //maldlint:deterministic packages"
+	return "forbid wall clock and order-dependent map exits in //maldlint:deterministic packages"
 }
-
-// Explain implements Check.
-func (*DetPathCheck) Explain() string {
-	return `Packages annotated //maldlint:deterministic (pipeline, line, core,
-stream) promise bit-identical state and output for identical input —
-that promise is what makes sharded merges reproducible and resumed
-alert feeds byte-identical. detpath flags the three ways code silently
-breaks it:
-
-  1. time.Now() — wall-clock values leak nondeterminism into state.
-     Metrics-only uses are fine; suppress them with
-     //maldlint:ignore detpath <rationale>.
-  2. math/rand / math/rand/v2 references — all randomness must come
-     from seeded mathx.RNG streams.
-  3. return <expr mentioning k or v> inside 'for k, v := range m' over
-     a map, or break after assigning k/v outward: the map's randomized
-     iteration order then decides the function's result. Iterate
-     sorted keys, or restructure so the result is order-insensitive.
-
-The check only runs in annotated packages and skips _test.go files.`
-}
-
-// Severity implements Check.
-func (*DetPathCheck) Severity() Severity { return SeverityError }
 
 // Run implements Check.
 func (c *DetPathCheck) Run(p *Pass) {
@@ -73,17 +47,9 @@ func (c *DetPathCheck) Run(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				if obj := calleeObject(p.Info, x); obj != nil &&
-					objPkgPath(obj) == "time" && obj.Name() == "Now" {
+				if isTimeNow(p.Info, x) {
 					p.Reportf(x.Pos(),
 						"time.Now in a deterministic package: wall-clock values must not feed model state or output")
-				}
-			case *ast.Ident:
-				if obj := p.Info.Uses[x]; obj != nil {
-					if pkg := objPkgPath(obj); pkg == "math/rand" || pkg == "math/rand/v2" {
-						p.Reportf(x.Pos(),
-							"%s.%s in a deterministic package: draw from seeded mathx.RNG streams instead", pkg, obj.Name())
-					}
 				}
 			case *ast.RangeStmt:
 				if _, isMap := typeUnderlying(p, x.X).(*types.Map); isMap {

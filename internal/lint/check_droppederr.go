@@ -26,24 +26,6 @@ func (*DroppedErrCheck) Doc() string {
 	return "flag discarded error returns outside _test.go files"
 }
 
-// Severity implements Check.
-func (*DroppedErrCheck) Severity() Severity { return SeverityError }
-
-// Explain implements Check.
-func (*DroppedErrCheck) Explain() string {
-	return `An expression-statement call whose error result is never bound (not
-even to _) is an error silently ignored — Close on a written file,
-Flush on a buffered writer, Encode on a checkpoint. The crash-safety
-work (PR 5) made write-path errors load-bearing: a dropped Close error
-means a torn model file that only surfaces on the next load.
-
-droppederr flags statement-position calls returning an error that the
-statement discards. Handle it, return it, or make the dismissal
-explicit and auditable with _ = f.Close() — the explicit blank
-assignment is the repo's signal that dropping was a decision, not an
-oversight.`
-}
-
 // Run implements Check.
 func (c *DroppedErrCheck) Run(p *Pass) {
 	for _, f := range p.Files {

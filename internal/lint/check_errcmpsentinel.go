@@ -12,11 +12,7 @@ import (
 // stream degradation wraps DegradedError chains — so identity
 // comparison silently stops matching the moment a call site adds
 // context. errors.Is walks the Unwrap chain and is the only comparison
-// that honors the sentinel contract.
-//
-// The check carries a mechanical fix (maldlint -fix): the comparison is
-// rewritten to errors.Is(err, ErrX) (negated for !=) and an "errors"
-// import is added when missing.
+// that honors the sentinel contract. nil comparisons are untouched.
 type ErrCmpSentinelCheck struct{}
 
 // Name implements Check.
@@ -27,71 +23,28 @@ func (*ErrCmpSentinelCheck) Doc() string {
 	return "flag err == ErrX identity comparisons that must be errors.Is for wrapped chains"
 }
 
-// Explain implements Check.
-func (*ErrCmpSentinelCheck) Explain() string {
-	return `Sentinel errors in this repository (core.ErrUnknownDomain,
-stream.ErrCorruptCheckpoint, io.EOF, ...) travel through fmt.Errorf
-("%w") wrapping and typed chains like stream.DegradedError. An identity
-comparison — err == ErrX or err != ErrX — only matches the unwrapped
-value, so it breaks silently as soon as any layer adds context:
-exactly the bug class the sentinel-error contract exists to prevent.
-
-errcmpsentinel flags every ==/!= comparison where one operand is a
-package-level error variable (a sentinel) and the other is any error
-expression. nil comparisons are untouched.
-
-This is the one mechanical check: run maldlint -fix to rewrite the
-comparison to errors.Is(err, ErrX) (or !errors.Is(...) for !=); the
-"errors" import is added when the file lacks it.`
-}
-
-// Severity implements Check.
-func (*ErrCmpSentinelCheck) Severity() Severity { return SeverityError }
-
 // Run implements Check.
-func (c *ErrCmpSentinelCheck) Run(p *Pass) {
+func (*ErrCmpSentinelCheck) Run(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
 				return true
 			}
-			var sentinel, other ast.Expr
+			var sentinel ast.Expr
 			switch {
 			case isSentinelRef(p, bin.Y) && isErrorExpr(p, bin.X):
-				sentinel, other = bin.Y, bin.X
+				sentinel = bin.Y
 			case isSentinelRef(p, bin.X) && isErrorExpr(p, bin.Y):
-				sentinel, other = bin.X, bin.Y
+				sentinel = bin.X
 			default:
 				return true
 			}
-			fix := c.buildFix(p, bin, other, sentinel)
-			p.ReportFix(bin.Pos(), fix,
+			p.Reportf(bin.Pos(),
 				"%s sentinel comparison with %s misses wrapped errors: use errors.Is",
 				bin.Op, types.ExprString(sentinel))
 			return true
 		})
-	}
-}
-
-// buildFix rewrites the comparison to (!)errors.Is(other, sentinel),
-// preserving the original operand spelling.
-func (*ErrCmpSentinelCheck) buildFix(p *Pass, bin *ast.BinaryExpr, other, sentinel ast.Expr) *Fix {
-	start := p.Fset.Position(bin.Pos())
-	end := p.Fset.Position(bin.End())
-	if start.Filename != end.Filename {
-		return nil
-	}
-	neg := ""
-	if bin.Op == token.NEQ {
-		neg = "!"
-	}
-	return &Fix{
-		Start: start.Offset,
-		End:   end.Offset,
-		NewText: neg + "errors.Is(" + types.ExprString(other) + ", " +
-			types.ExprString(sentinel) + ")",
-		NeedsImport: "errors",
 	}
 }
 

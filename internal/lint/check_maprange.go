@@ -27,24 +27,6 @@ func (*MapRangeCheck) Doc() string {
 	return "flag map iteration that feeds ordered output unless the result is sorted"
 }
 
-// Severity implements Check.
-func (*MapRangeCheck) Severity() Severity { return SeverityWarning }
-
-// Explain implements Check.
-func (*MapRangeCheck) Explain() string {
-	return `Go randomizes map iteration order on purpose. Code that ranges over a
-map and feeds the iteration directly into output — appending to a
-result slice, writing lines, hashing — produces a different order every
-run, which breaks the repo's bit-identical model files and stable alert
-feeds.
-
-maprange flags map ranges whose bodies emit per-element output without
-an intervening sort. Collect the keys, sort them, then iterate; or
-accumulate into an order-insensitive structure and sort once at the
-end. Ranges that only aggregate (sums, max, set inserts) are fine and
-are not flagged.`
-}
-
 // Run implements Check.
 func (*MapRangeCheck) Run(p *Pass) {
 	for _, f := range p.Files {

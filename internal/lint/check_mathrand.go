@@ -25,23 +25,6 @@ func (*MathRandCheck) Doc() string {
 	return "forbid math/rand imports and time-seeded randomness outside internal/mathx"
 }
 
-// Severity implements Check.
-func (*MathRandCheck) Severity() Severity { return SeverityError }
-
-// Explain implements Check.
-func (*MathRandCheck) Explain() string {
-	return `The paper's pipeline must be reproducible: identical input and seed
-must produce identical embeddings, scores, and alert feeds. The global
-math/rand generators (rand.Intn, rand.Shuffle, ...) share hidden
-process-wide state — any import anywhere reorders every other
-consumer's draws, and Go seeds the global source randomly at startup.
-
-mathrand bans importing math/rand and math/rand/v2 outside the allow
-list (repro/internal/mathx, which wraps a seeded source). Route all
-randomness through mathx.RNG streams: each consumer owns its sequence,
-so adding a new random consumer cannot perturb existing ones.`
-}
-
 // forbiddenImports are the randomness packages the contract bans.
 var forbiddenImports = map[string]bool{
 	"math/rand":    true,

@@ -1,8 +1,7 @@
 // Package lint is a from-scratch static analyzer for this repository,
 // built only on the standard library's go/ast, go/parser, go/token and
-// go/types packages. It enforces repo-specific invariants that keep the
-// detection pipeline (bipartite graphs → projections → LINE embedding →
-// SVM) deterministic and race-free:
+// go/types packages. It enforces the invariants that keep a model a pure
+// function of (trace, config, seed) and keep errors from vanishing:
 //
 //   - mathrand: stochastic code must draw from mathx.RNG streams, never
 //     math/rand or time-seeded generators (reproducibility contract in
@@ -10,33 +9,22 @@
 //   - maprange: iteration over a Go map has randomized order; functions
 //     that emit ordered output (reports, feature vectors, embeddings)
 //     must not range over maps unless the collected result is sorted.
-//   - wgadd: sync.WaitGroup.Add must run before the goroutine it
-//     accounts for is spawned, never inside it.
 //   - droppederr: error returns must not be silently discarded outside
 //     _test.go files.
 //   - detpath: packages annotated //maldlint:deterministic may not
-//     consult the wall clock, use global math/rand, or let map
-//     iteration order choose their results.
-//   - gobfields: structs handed to gob.Encode/Decode must not carry
-//     unexported (silently dropped) or interface-typed fields.
+//     consult the wall clock or let map iteration order choose their
+//     results.
 //   - errcmpsentinel: sentinel errors must be compared with errors.Is,
-//     never ==/!= (carries a mechanical -fix).
-//   - closeleak: opened files must be closed on every CFG path
-//     (dataflow-aware, built on the cfg.go graph).
-//   - tickerloop: no time.After/NewTicker allocation per loop
-//     iteration.
-//   - atomicalign: 64-bit sync/atomic operands must stay 8-byte
-//     aligned under 32-bit struct layout.
+//     never ==/!=.
 //
 // Every check implements the Check interface, reports position-accurate
-// diagnostics with a severity, and honors inline suppressions of the form
+// diagnostics, and honors inline suppressions of the form
 //
 //	//maldlint:ignore <check>[,<check>...] [rationale]
 //
 // placed on the offending line or the line directly above it. A
 // suppression must name the check(s) it silences; there is no blanket
-// ignore. cmd/maldlint wires the checks into a CLI gate with JSON
-// output, a baseline workflow, and per-check -explain documentation.
+// ignore. cmd/maldlint wires the checks into a CLI gate.
 package lint
 
 import (
@@ -48,55 +36,17 @@ import (
 	"strings"
 )
 
-// Severity classifies how a finding should be treated. The CLI gate
-// fails on every finding regardless of severity; the level tells the
-// reader whether the finding is a correctness bug (SeverityError) or a
-// determinism/style hazard (SeverityWarning).
-type Severity int
-
-// Severity levels.
-const (
-	// SeverityWarning marks hazards that can silently change results
-	// (nondeterministic iteration, per-iteration timers).
-	SeverityWarning Severity = iota + 1
-	// SeverityError marks definite correctness bugs (leaked files,
-	// dropped errors, forbidden randomness sources).
-	SeverityError
-)
-
-// String returns "warning" or "error".
-func (s Severity) String() string {
-	if s == SeverityError {
-		return "error"
-	}
-	return "warning"
-}
-
-// Diagnostic is one finding: a position, the check that produced it, its
-// severity, and a human-readable message. Mechanical checks may attach
-// a Fix that cmd/maldlint -fix applies.
+// Diagnostic is one finding: a position, the check that produced it,
+// and a human-readable message.
 type Diagnostic struct {
-	Pos      token.Position
-	Check    string
-	Severity Severity
-	Message  string
-	Fix      *Fix
-}
-
-// Fix is a mechanical rewrite for one finding: replace the source bytes
-// [Start, End) of the finding's file with NewText. Offsets are byte
-// offsets within the file. NeedsImport, when non-empty, names an import
-// path the fixed file must have (added if missing).
-type Fix struct {
-	Start       int
-	End         int
-	NewText     string
-	NeedsImport string
+	Pos     token.Position
+	Check   string
+	Message string
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s [%s] %s", d.Pos, d.Severity, d.Check, d.Message)
+	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Check, d.Message)
 }
 
 // Check is one pluggable analysis. Implementations walk the files of a
@@ -108,12 +58,6 @@ type Check interface {
 	Name() string
 	// Doc is a one-line description shown by `maldlint -list`.
 	Doc() string
-	// Explain is the long-form documentation shown by
-	// `maldlint -explain <check>`: what the check flags, why the repo
-	// cares, and how to fix or suppress a finding.
-	Explain() string
-	// Severity is the level attached to every finding of this check.
-	Severity() Severity
 	// Run analyzes one type-checked package.
 	Run(p *Pass)
 }
@@ -136,21 +80,9 @@ type Pass struct {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Check:    p.check.Name(),
-		Severity: p.check.Severity(),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportFix records a finding at pos carrying a mechanical fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Check:    p.check.Name(),
-		Severity: p.check.Severity(),
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
+		Pos:     p.Fset.Position(pos),
+		Check:   p.check.Name(),
+		Message: fmt.Sprintf(format, args...),
 	})
 }
 

@@ -25,15 +25,10 @@ func fixtureCases() []struct {
 		{"mathrand", &MathRandCheck{Allow: []string{"fixture/mathrand_allowed"}}},
 		{"mathrand_allowed", &MathRandCheck{Allow: []string{"fixture/mathrand_allowed"}}},
 		{"maprange", &MapRangeCheck{}},
-		{"wgadd", &WgAddCheck{}},
 		{"droppederr", &DroppedErrCheck{}},
 		{"detpath", &DetPathCheck{}},
 		{"detpath_plain", &DetPathCheck{}},
-		{"gobfields", &GobFieldsCheck{}},
 		{"errcmpsentinel", &ErrCmpSentinelCheck{}},
-		{"closeleak", &CloseLeakCheck{}},
-		{"tickerloop", &TickerLoopCheck{}},
-		{"atomicalign", &AtomicAlignCheck{}},
 	}
 }
 
@@ -185,31 +180,14 @@ func TestBuildableConstraints(t *testing.T) {
 		{"// +build race\n\npackage p\n", false},
 		{"// a normal comment\n\npackage p\n", true},
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
 	fset := token.NewFileSet()
 	for _, tc := range cases {
 		f, err := parser.ParseFile(fset, "x.go", tc.src, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse %q: %v", tc.src, err)
 		}
-		if got := loader.buildable(f); got != tc.want {
+		if got := buildable(f); got != tc.want {
 			t.Errorf("buildable(%q) = %v, want %v", tc.src, got, tc.want)
 		}
-	}
-}
-
-// TestCheckByName verifies the registry round-trips every check.
-func TestCheckByName(t *testing.T) {
-	for _, c := range AllChecks() {
-		got := CheckByName(c.Name())
-		if got == nil || got.Name() != c.Name() {
-			t.Errorf("CheckByName(%q) failed", c.Name())
-		}
-	}
-	if CheckByName("nope") != nil {
-		t.Errorf("CheckByName(nope) should be nil")
 	}
 }

@@ -58,10 +58,6 @@ type Loader struct {
 	// go.mod); ModPath is its module path.
 	ModRoot string
 	ModPath string
-	// Tags lists extra build tags treated as satisfied, on top of the
-	// default GOOS/GOARCH/gc set — the loader-side equivalent of
-	// `go build -tags`.
-	Tags []string
 
 	std   types.ImporterFrom
 	stdMu sync.Mutex // the source importer is not safe for concurrent use
@@ -78,16 +74,9 @@ type pkgEntry struct {
 	err  error
 }
 
-// NewLoader returns a loader rooted at the module containing dir, with
-// no extra build tags. It locates go.mod by walking upward and reads
-// the module path from it.
+// NewLoader returns a loader rooted at the module containing dir. It
+// locates go.mod by walking upward and reads the module path from it.
 func NewLoader(dir string) (*Loader, error) {
-	return NewLoaderTags(dir, nil)
-}
-
-// NewLoaderTags is NewLoader with extra build tags treated as satisfied
-// (the `go build -tags` equivalent; see Loader.Tags).
-func NewLoaderTags(dir string, tags []string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: resolving %s: %w", dir, err)
@@ -116,7 +105,6 @@ func NewLoaderTags(dir string, tags []string) (*Loader, error) {
 		Fset:    fset,
 		ModRoot: root,
 		ModPath: modPath,
-		Tags:    tags,
 		std:     std,
 		pkgs:    make(map[string]*pkgEntry),
 		checked: make(map[string]int),
@@ -338,9 +326,9 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: parsing %s: %w", full, err)
 		}
-		if !l.buildable(f) {
-			// Excluded by a //go:build constraint under this loader's tag
-			// set (e.g. the !race half of a race/norace pair): parsing
+		if !buildable(f) {
+			// Excluded by a //go:build constraint under the default tag
+			// set (e.g. the race half of a race/norace pair): parsing
 			// both halves would redeclare their symbols.
 			continue
 		}
@@ -364,12 +352,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// buildable reports whether f is included under this loader's build
-// configuration: current GOOS/GOARCH, gc, the loader's extra Tags, and
-// nothing else. Files gated on instrumentation or tool tags (race,
-// msan, ignore, …) are excluded unless the tag was requested, so the
-// loader never sees both halves of a tag-paired declaration.
-func (l *Loader) buildable(f *ast.File) bool {
+// buildable reports whether f is included under the default build
+// configuration: current GOOS/GOARCH, gc, and nothing else. Files gated
+// on instrumentation or tool tags (race, msan, ignore, …) are excluded,
+// so the loader never sees both halves of a tag-paired declaration.
+func buildable(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {
 			break
@@ -382,7 +369,7 @@ func (l *Loader) buildable(f *ast.File) bool {
 			if err != nil {
 				continue
 			}
-			if !expr.Eval(l.tagSatisfied) {
+			if !expr.Eval(tagSatisfied) {
 				return false
 			}
 		}
@@ -392,17 +379,12 @@ func (l *Loader) buildable(f *ast.File) bool {
 
 // tagSatisfied is the build-tag truth function for buildable: the host
 // platform and compiler are on, Go release tags are assumed satisfied
-// by the current toolchain, the loader's extra Tags are on, and
-// everything else (race, msan, custom tags) is off.
-func (l *Loader) tagSatisfied(tag string) bool {
+// by the current toolchain, and everything else (race, msan, custom
+// tags) is off.
+func tagSatisfied(tag string) bool {
 	switch tag {
 	case runtime.GOOS, runtime.GOARCH, "gc", "unix":
 		return true
-	}
-	for _, t := range l.Tags {
-		if tag == t {
-			return true
-		}
 	}
 	return strings.HasPrefix(tag, "go1.")
 }

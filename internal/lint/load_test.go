@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -131,31 +132,23 @@ func TestLoadAllErrorsPositional(t *testing.T) {
 	}
 }
 
-// TestTagLoaderSelectsRaceHalf loads internal/race under both tag sets
-// and checks that exactly one half of the tag pair is in each.
-func TestTagLoaderSelectsRaceHalf(t *testing.T) {
-	has := func(tags []string, suffix string) bool {
-		loader, err := NewLoaderTags(".", tags)
-		if err != nil {
-			t.Fatalf("NewLoaderTags(%v): %v", tags, err)
-		}
-		pkg, err := loader.Load("repro/internal/race")
-		if err != nil {
-			t.Fatalf("Load(race) tags=%v: %v", tags, err)
-		}
-		for _, f := range pkg.Files {
-			name := loader.Fset.Position(f.Pos()).Filename
-			if len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix {
-				return true
-			}
-		}
-		return false
+// TestLoaderSelectsNoraceHalf loads internal/race and checks that only
+// the default-tags half of its race/norace pair is in the package.
+func TestLoaderSelectsNoraceHalf(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
 	}
-	if !has(nil, "/norace.go") || has(nil, "/race.go") {
-		t.Errorf("default tags: want norace half only")
+	pkg, err := loader.Load("repro/internal/race")
+	if err != nil {
+		t.Fatalf("Load(race): %v", err)
 	}
-	if !has([]string{"race"}, "/race.go") || has([]string{"race"}, "/norace.go") {
-		t.Errorf("race tags: want race half only")
+	var names []string
+	for _, f := range pkg.Files {
+		names = append(names, filepath.Base(loader.Fset.Position(f.Pos()).Filename))
+	}
+	if !equalStrings(names, []string{"norace.go"}) {
+		t.Errorf("internal/race files = %v, want [norace.go]", names)
 	}
 }
 

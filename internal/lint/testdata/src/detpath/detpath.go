@@ -1,23 +1,17 @@
 // Package fixture seeds violations for the detpath check inside a
-// package annotated with the determinism contract: wall-clock reads,
-// global math/rand use, and map-order-dependent exits, plus sorted and
-// suppressed cases.
+// package annotated with the determinism contract: wall-clock reads
+// and map-order-dependent exits, plus sorted and suppressed cases.
 //
 //maldlint:deterministic
 package fixture
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 )
 
 func badWallClock() int64 {
 	return time.Now().UnixNano() // want detpath
-}
-
-func badGlobalRand() int {
-	return rand.Intn(10) // want detpath
 }
 
 func badMapReturn(m map[string]int) string {
