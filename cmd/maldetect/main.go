@@ -6,13 +6,13 @@
 //	maldetect -trace trace.tsv -truth truth.tsv [-train-frac 0.7] [-seed N] [-top 25]
 //	maldetect train -trace trace.tsv -truth truth.tsv -out model.bin [-dhcp leases.tsv] [-seed N]
 //	maldetect score -model model.bin [-top 25] [domain ...]
-//	maldetect serve -model model.bin [-addr 127.0.0.1:8953] [-max-inflight 256] [-timeout 5s] [-drain 10s] [-max-batch 10000] [-max-body N] [-foldin-cap N] [-foldin-ttl 15m] [-pprof]
+//	maldetect serve -model model.bin [-addr 127.0.0.1:8953] [-max-inflight 256] [-timeout 5s] [-drain 10s] [-max-batch 10000] [-foldin-cap N] [-foldin-ttl 15m] [-pprof]
 //	maldetect stream -trace trace.tsv -truth truth.tsv [-window 2] [-dim 16] [-feed alerts.tsv] [-checkpoint stream.ckpt] [-shards N]
-//	maldetect loadgen -url http://127.0.0.1:8953 (-model model.bin | -domains file) [-duration 10s | -n N] [-workers 8] [-qps 0] [-batch 0] [-ndjson] [-json] [-check]
 //
 // The default (no subcommand) mode builds the model, trains the SVM on a
-// stratified train-frac fraction of the labeled domains, and scores the
-// held-out rest, printing the top suspicious domains and held-out AUC.
+// random train-frac fraction (in (0, 1)) of the labeled domains, and
+// scores the held-out rest, printing the top suspicious domains and
+// held-out AUC.
 //
 // train and stream accept -embedder/-classifier/-views to select
 // registered stage backends (core's pluggable registry); backends
@@ -40,13 +40,6 @@
 // SIGINT/SIGTERM drain gracefully. The bound address is printed to
 // stderr, so -addr with port 0 works for smoke tests. docs/api.md is
 // the wire-format reference.
-//
-// The loadgen subcommand (loadgen.go) drives a running daemon with a
-// worker-pool HTTP client — paced or closed-loop, single GETs or
-// batches, optionally over the NDJSON framing — and reports sustained
-// throughput with latency percentiles, as text or as JSON in the
-// BENCH_*.json schema. NDJSON runs parse the enriched result lines and tally
-// verdict sources (model vs foldin vs knn) into the report.
 //
 // The stream subcommand runs the crash-safe rolling detector
 // (internal/stream) day by day over the trace, appending alerts to a
@@ -94,19 +87,17 @@ func main() {
 			err = runServe(os.Args[2:])
 		case "stream":
 			err = runStream(os.Args[2:])
-		case "loadgen":
-			err = runLoadgen(os.Args[2:])
 		case "backends":
 			err = runBackends(os.Args[2:])
 		default:
-			err = fmt.Errorf("unknown subcommand %q (want train, score, serve, stream, backends, or loadgen)", os.Args[1])
+			err = fmt.Errorf("unknown subcommand %q (want train, score, serve, stream, or backends)", os.Args[1])
 		}
 	} else {
 		var (
 			tracePath = flag.String("trace", "trace.tsv", "input trace (text log format)")
 			truthPath = flag.String("truth", "truth.tsv", "ground-truth labels")
 			dhcpPath  = flag.String("dhcp", "", "DHCP lease log for device pinning (optional)")
-			trainFrac = flag.Float64("train-frac", 0.7, "fraction of labeled domains used for training")
+			trainFrac = flag.Float64("train-frac", 0.7, "fraction of labeled domains used for training, in (0, 1); the rest is held out")
 			seed      = flag.Uint64("seed", 1, "seed for embedding/SVM/shuffle")
 			top       = flag.Int("top", 25, "suspicious domains to print")
 		)
@@ -313,10 +304,9 @@ func runServe(args []string) error {
 		modelPath   = fs.String("model", "model.bin", "model file written by train")
 		addr        = fs.String("addr", "127.0.0.1:8953", "listen address (port 0 picks an ephemeral port)")
 		maxInflight = fs.Int("max-inflight", 256, "max concurrent scoring requests before shedding with 503")
-		reqTimeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
+		reqTimeout  = fs.Duration("timeout", 5*time.Second, "deadline for reading a POST request body (batch and observe)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		maxBatch    = fs.Int("max-batch", 10000, "max domains per batch request")
-		maxBody     = fs.Int64("max-body", 0, "max batch body bytes (0 derives from -max-batch)")
+		maxBatch    = fs.Int("max-batch", 10000, "max domains per batch request (bodies are capped at 64+260*max-batch bytes)")
 		foldinCap   = fs.Int("foldin-cap", 0, "max fold-in cache entries (0 = default 65536)")
 		foldinTTL   = fs.Duration("foldin-ttl", 0, "fold-in evidence lifetime (0 = default 15m)")
 		pprofOn     = fs.Bool("pprof", false, "expose /debug/pprof/")
@@ -333,7 +323,6 @@ func runServe(args []string) error {
 		RequestTimeout:   *reqTimeout,
 		DrainTimeout:     *drain,
 		MaxBatch:         *maxBatch,
-		MaxBody:          *maxBody,
 		FoldInMaxEntries: *foldinCap,
 		FoldInTTL:        *foldinTTL,
 		EnablePprof:      *pprofOn,
@@ -375,6 +364,9 @@ func runServe(args []string) error {
 }
 
 func run(tracePath, truthPath, dhcpPath string, trainFrac float64, seed uint64, top int) error {
+	if !(trainFrac > 0 && trainFrac < 1) {
+		return fmt.Errorf("-train-frac %v: want a fraction in (0, 1), leaving domains to hold out", trainFrac)
+	}
 	det, err := loadDetector(tracePath, dhcpPath, seed, stageSelection{})
 	if err != nil {
 		return err
@@ -387,7 +379,8 @@ func run(tracePath, truthPath, dhcpPath string, trainFrac float64, seed uint64, 
 		return fmt.Errorf("only %d labeled retained domains", len(domains))
 	}
 
-	// Stratified train/test split.
+	// Random train/test split (not stratified: either side may lack a
+	// class on a small trace, which the AUC line then reports).
 	rng := mathx.NewRNG(seed).SplitLabeled("split")
 	perm := rng.Perm(len(domains))
 	var trainD, testD []string
@@ -427,7 +420,9 @@ func run(tracePath, truthPath, dhcpPath string, trainFrac float64, seed uint64, 
 		scores = append(scores, s)
 		ys = append(ys, testY[i])
 	}
-	if auc, err := eval.AUC(scores, ys); err == nil {
+	if auc, err := eval.AUC(scores, ys); err != nil {
+		fmt.Printf("held-out AUC: unavailable over %d domains: %v\n", len(scores), err)
+	} else {
 		fmt.Printf("held-out AUC: %.4f over %d domains\n", auc, len(scores))
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].score > results[j].score })

@@ -284,74 +284,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-// NewHistogram returns a standalone histogram over the given ascending
-// bucket bounds (the implicit +Inf bucket is appended), outside any
-// Registry. Callers that need percentile readouts but no exposition —
-// the load generator's latency report is the motivating case — reuse
-// the same lock-free Observe/Quantile machinery the registered
-// histograms run on. Bounds must be sorted ascending and non-empty.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("obsv: NewHistogram needs at least one bucket bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obsv: histogram bounds not ascending at %d: %v <= %v",
-				i, bounds[i], bounds[i-1]))
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return newHistogram(b)
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) of the observed
-// distribution by linear interpolation inside the bucket holding that
-// rank: the estimate's relative error is bounded by the bucket's
-// width. Observations in the +Inf bucket clamp to the last finite
-// bound. With no observations Quantile returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation, 1-based; q=0 means the first.
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		if cum+n < rank {
-			cum += n
-			continue
-		}
-		if i == len(h.bounds) {
-			// +Inf bucket: no upper bound to interpolate toward.
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		// Position of the target rank within this bucket's count.
-		frac := float64(rank-cum) / float64(n)
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	// First bucket whose upper bound is >= v; past the last bound the

@@ -200,54 +200,3 @@ func TestHandler(t *testing.T) {
 		t.Errorf("body missing metric:\n%s", rec.Body.String())
 	}
 }
-
-// TestQuantile drives the bucket-interpolation estimator with a known
-// uniform distribution: 1000 observations spread evenly over [0, 10)
-// must put p50 near 5 and p99 near 9.9, within one bucket width.
-func TestQuantile(t *testing.T) {
-	bounds := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h := NewHistogram(bounds)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram Quantile = %v, want 0", got)
-	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) / 100) // 0.00 .. 9.99 uniform
-	}
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0, 0, 1},
-		{0.5, 5, 1},
-		{0.9, 9, 1},
-		{0.99, 9.9, 1},
-		{1, 10, 1},
-	} {
-		got := h.Quantile(tc.q)
-		if math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("Quantile(%v) = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
-		}
-	}
-	// Observations beyond the last bound clamp to it.
-	h2 := NewHistogram([]float64{1, 2})
-	h2.Observe(50)
-	if got := h2.Quantile(0.5); got != 2 {
-		t.Errorf("+Inf bucket Quantile = %v, want clamp to 2", got)
-	}
-}
-
-// TestNewHistogramValidation: the standalone constructor rejects
-// malformed bounds loudly.
-func TestNewHistogramValidation(t *testing.T) {
-	for name, bounds := range map[string][]float64{
-		"empty":      {},
-		"descending": {2, 1},
-		"duplicate":  {1, 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s bounds: no panic", name)
-				}
-			}()
-			NewHistogram(bounds)
-		}()
-	}
-}

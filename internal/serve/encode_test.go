@@ -230,37 +230,33 @@ func TestRenderedRowsMatchEncoders(t *testing.T) {
 	}
 }
 
-// TestMaxBodyDerivation pins the MaxBatch → MaxBody sizing rule: any
+// TestBodyCapDerivation pins the MaxBatch → body cap sizing rule: any
 // legal batch of maximum-length DNS names must fit under the derived
 // cap.
-func TestMaxBodyDerivation(t *testing.T) {
+func TestBodyCapDerivation(t *testing.T) {
 	cfg := Config{MaxBatch: 4}.withDefaults()
-	if want := int64(64 + 260*4); cfg.MaxBody != want {
-		t.Fatalf("derived MaxBody = %d, want %d", cfg.MaxBody, want)
+	if want := int64(64 + 260*4); cfg.bodyCap() != want {
+		t.Fatalf("derived body cap = %d, want %d", cfg.bodyCap(), want)
 	}
 	// A full batch of 255-byte domains must be under the cap.
 	doc, _ := json.Marshal(BatchRequest{Domains: []string{
 		strings.Repeat("a", 255), strings.Repeat("b", 255),
 		strings.Repeat("c", 255), strings.Repeat("d", 255),
 	}})
-	if int64(len(doc)) > cfg.MaxBody {
-		t.Fatalf("maximal legal batch is %d bytes, exceeds derived cap %d", len(doc), cfg.MaxBody)
-	}
-	cfg = Config{MaxBatch: 4, MaxBody: 99}.withDefaults()
-	if cfg.MaxBody != 99 {
-		t.Fatalf("explicit MaxBody overridden: %d", cfg.MaxBody)
+	if int64(len(doc)) > cfg.bodyCap() {
+		t.Fatalf("maximal legal batch is %d bytes, exceeds derived cap %d", len(doc), cfg.bodyCap())
 	}
 }
 
 // TestBatchBodyCap checks the enforcement boundary: a body of exactly
-// MaxBody bytes is served, one byte more is rejected with 413 before
+// the cap's size is served, one byte more is rejected with 413 before
 // the batch is scored.
 func TestBatchBodyCap(t *testing.T) {
 	modelA, _, _, _ := models(t)
-	s, _ := newTestServer(t, modelA, func(c *Config) { c.MaxBody = 512 })
+	s, _ := newTestServer(t, modelA, func(c *Config) { c.MaxBatch = 4 }) // cap 1104 bytes
 
 	doc := `{"domains":["pad.example"]}`
-	pad := strings.Repeat(" ", 512-len(doc))
+	pad := strings.Repeat(" ", 1104-len(doc))
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score/batch", strings.NewReader(pad+doc)))
@@ -273,7 +269,7 @@ func TestBatchBodyCap(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("body over cap: status %d, want 413", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), "batch body exceeds 512 bytes") {
+	if !strings.Contains(rec.Body.String(), "batch body exceeds 1104 bytes") {
 		t.Fatalf("413 body %q does not name the cap", rec.Body.String())
 	}
 }

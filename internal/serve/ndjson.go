@@ -23,7 +23,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,11 +49,11 @@ var ErrNDJSONSyntax = errors.New("serve: malformed NDJSON stream")
 const maxNDJSONLine = 1 << 16
 
 // DecodeNDJSON reads a complete NDJSON batch response: the header
-// line, then one BatchResult per line until EOF. It is the consumer
-// the load generator and the tests share. Malformed input — an empty
-// stream, a non-JSON line, or a line exceeding maxNDJSONLine — returns
-// an error wrapping ErrNDJSONSyntax; the results decoded before the
-// bad line are returned alongside it.
+// line, then one BatchResult per line until EOF. It is the reference
+// consumer the equivalence and reload tests decode with. Malformed
+// input — an empty stream, a non-JSON line, or a line exceeding
+// maxNDJSONLine — returns an error wrapping ErrNDJSONSyntax; the
+// results decoded before the bad line are returned alongside it.
 func DecodeNDJSON(r io.Reader) (NDJSONHeader, []BatchResult, error) {
 	var hdr NDJSONHeader
 	sc := bufio.NewScanner(r)
@@ -84,120 +83,6 @@ func DecodeNDJSON(r io.Reader) (NDJSONHeader, []BatchResult, error) {
 		return hdr, results, fmt.Errorf("%w: %v", ErrNDJSONSyntax, err)
 	}
 	return hdr, results, nil
-}
-
-// NDJSONTally is what TallyNDJSON measured over one stream: the result
-// line count, split by verdict source. Results ≥ Model+Foldin+KNN;
-// the difference is no-evidence lines, whose source field is omitted.
-type NDJSONTally struct {
-	Results int
-	Model   int
-	Foldin  int
-	KNN     int
-}
-
-// sourceTokens are the wire encodings of the source field, one per
-// core.Source* constant. Result lines are emitted by the manual
-// encoder, so the token appears verbatim when the source is set.
-var sourceTokens = [...]struct {
-	token []byte
-	add   func(*NDJSONTally)
-}{
-	{[]byte(`"source":"model"`), func(t *NDJSONTally) { t.Model++ }},
-	{[]byte(`"source":"foldin"`), func(t *NDJSONTally) { t.Foldin++ }},
-	{[]byte(`"source":"knn"`), func(t *NDJSONTally) { t.KNN++ }},
-}
-
-// TallyNDJSON streams through an NDJSON batch response counting result
-// lines and their verdict sources without a full JSON decode — the
-// consumption path a load generator uses to report how much of the
-// served traffic was answered from the model versus the fold-in
-// fallback. buf, when non-nil, becomes the line scanner's buffer so a
-// worker can reuse one allocation across responses. The header line is
-// validated; result lines are only token-scanned.
-func TallyNDJSON(r io.Reader, buf []byte) (NDJSONTally, error) {
-	var tally NDJSONTally
-	sc := bufio.NewScanner(r)
-	if buf == nil {
-		buf = make([]byte, 4096)
-	}
-	sc.Buffer(buf, maxNDJSONLine)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return tally, fmt.Errorf("%w: header: %v", ErrNDJSONSyntax, err)
-		}
-		return tally, fmt.Errorf("%w: empty stream", ErrNDJSONSyntax)
-	}
-	var hdr NDJSONHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return tally, fmt.Errorf("%w: header: %v", ErrNDJSONSyntax, err)
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue // tolerate a trailing blank line
-		}
-		tally.Results++
-		for _, st := range sourceTokens {
-			if bytes.Contains(line, st.token) {
-				st.add(&tally)
-				break
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return tally, fmt.Errorf("%w: %v", ErrNDJSONSyntax, err)
-	}
-	return tally, nil
-}
-
-// CountNDJSON streams through an NDJSON batch response counting result
-// lines without decoding them — the cheap consumption path a load
-// generator uses when it only needs to know how many domains came
-// back. It validates just the header line and returns the result-line
-// count.
-func CountNDJSON(r io.Reader, buf []byte) (int, error) {
-	if len(buf) == 0 {
-		buf = make([]byte, 32*1024)
-	}
-	sawHeader := false
-	lines := 0
-	var partial bool // inside a line that has not ended yet
-	var headerPrefix []byte
-	for {
-		n, err := r.Read(buf)
-		for _, c := range buf[:n] {
-			// Accumulate the first line's prefix for validation.
-			if !sawHeader && c != '\n' && len(headerPrefix) < 64 {
-				headerPrefix = append(headerPrefix, c)
-			}
-			if c == '\n' {
-				if !sawHeader {
-					if !strings.HasPrefix(string(headerPrefix), `{"fingerprint":`) {
-						return lines, fmt.Errorf("%w: header %q", ErrNDJSONSyntax, headerPrefix)
-					}
-					sawHeader = true
-				} else {
-					lines++
-				}
-				partial = false
-			} else {
-				partial = true
-			}
-		}
-		if errors.Is(err, io.EOF) {
-			if partial && sawHeader {
-				lines++ // unterminated final line still counts
-			}
-			if !sawHeader {
-				return lines, fmt.Errorf("%w: no header line", ErrNDJSONSyntax)
-			}
-			return lines, nil
-		}
-		if err != nil {
-			return lines, err
-		}
-	}
 }
 
 // wantsNDJSON reports whether the request opted into the streamed

@@ -111,15 +111,15 @@ func TestNDJSONStreamsLargeBatch(t *testing.T) {
 	if !rec.Flushed {
 		t.Fatal("large NDJSON batch never flushed mid-stream")
 	}
-	n, err := CountNDJSON(bytes.NewReader(rec.Body.Bytes()), nil)
+	if rec.Body.Len() <= ndjsonFlushBytes {
+		t.Fatalf("test batch too small to exercise streaming: %d bytes", rec.Body.Len())
+	}
+	_, results, err := DecodeNDJSON(rec.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(queries) {
-		t.Fatalf("CountNDJSON = %d, want %d", n, len(queries))
-	}
-	if rec.Body.Len() <= ndjsonFlushBytes {
-		t.Fatalf("test batch too small to exercise streaming: %d bytes", rec.Body.Len())
+	if len(results) != len(queries) {
+		t.Fatalf("%d result lines, want %d", len(results), len(queries))
 	}
 }
 
@@ -174,19 +174,10 @@ func TestDecodeNDJSONErrors(t *testing.T) {
 	if hdr.Fingerprint != "abc" || len(results) != 1 || results[0].Domain != "a.com" {
 		t.Fatalf("partial decode lost good prefix: hdr %+v results %+v", hdr, results)
 	}
-
-	if _, err := CountNDJSON(strings.NewReader("nope\n"), nil); !errors.Is(err, ErrNDJSONSyntax) {
-		t.Fatalf("CountNDJSON bad header: err %v", err)
-	}
-	n, err := CountNDJSON(strings.NewReader(`{"fingerprint":"x"}`+"\nline1\nline2"), make([]byte, 7))
-	if err != nil || n != 2 {
-		t.Fatalf("CountNDJSON = %d, %v; want 2 (unterminated final line counts)", n, err)
-	}
 }
 
-// FuzzDecodeNDJSON hammers both NDJSON consumers with arbitrary bytes:
-// they must never panic, and on any input they agree that a nil error
-// implies a well-formed header.
+// FuzzDecodeNDJSON hammers the NDJSON decoder with arbitrary bytes: it
+// must never panic.
 func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add([]byte(`{"fingerprint":"abc"}` + "\n" + `{"domain":"a.com","score":1.5,"label":1,"known":true}` + "\n"))
 	f.Add([]byte(`{"fingerprint":""}` + "\n"))
@@ -194,18 +185,6 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"fingerprint":"x"}` + "\n" + strings.Repeat("a", 100) + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, results, err := DecodeNDJSON(bytes.NewReader(data))
-		if err == nil {
-			// A clean decode must re-encode to a countable stream.
-			var buf bytes.Buffer
-			buf.WriteString(`{"fingerprint":""}` + "\n")
-			for range results {
-				buf.WriteString("{}\n")
-			}
-			if n, cerr := CountNDJSON(&buf, nil); cerr != nil || n != len(results) {
-				t.Fatalf("count %d err %v for %d results", n, cerr, len(results))
-			}
-		}
-		_, _ = CountNDJSON(bytes.NewReader(data), make([]byte, 16))
+		_, _, _ = DecodeNDJSON(bytes.NewReader(data))
 	})
 }

@@ -292,8 +292,8 @@ func TestObserveScoreReloadRace(t *testing.T) {
 // wantObserveStatus is FuzzObserveBody's oracle: the status the observe
 // route owes a body, from encoding/json and the route's documented
 // validation.
-func wantObserveStatus(body []byte, maxBody int) int {
-	if len(body) > maxBody {
+func wantObserveStatus(body []byte, bodyCap int) int {
+	if len(body) > bodyCap {
 		return http.StatusRequestEntityTooLarge
 	}
 	var req ObserveRequest
@@ -314,10 +314,11 @@ func wantObserveStatus(body []byte, maxBody int) int {
 // document that passes validation (413 over the body cap, 400 for
 // everything else), and must keep the fold-in cache within its bound.
 func FuzzObserveBody(f *testing.F) {
-	const maxBody, maxEntries = 1024, 4
+	const maxBatch, maxEntries = 4, 4
+	const bodyCap = 64 + 260*maxBatch // 1104 bytes
 	modelA, _, scorerA, _ := models(f)
 	s, _ := newTestServer(f, modelA, func(c *Config) {
-		c.MaxBody = maxBody
+		c.MaxBatch = maxBatch
 		c.FoldInMaxEntries = maxEntries
 	})
 	neighbor := scorerA.Domains()[0]
@@ -330,14 +331,14 @@ func FuzzObserveBody(f *testing.F) {
 		`{"domain":"x.example","relations":[]}`,
 		`{"relations":[{"view":"query","neighbor":"` + neighbor + `"}]}`,
 		`{"DOMAIN":"z.example","Relations":[{"View":"query","Neighbor":"` + neighbor + `"}]}`,
-		valid[:len(valid)-1] + strings.Repeat(" ", maxBody) + "}",
+		valid[:len(valid)-1] + strings.Repeat(" ", bodyCap) + "}",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/observe", bytes.NewReader(body)))
-		if want := wantObserveStatus(body, maxBody); rec.Code != want {
+		if want := wantObserveStatus(body, bodyCap); rec.Code != want {
 			t.Fatalf("POST /v1/observe %q: status %d, want %d: %s", body, rec.Code, want, rec.Body.String())
 		}
 		if n := s.FoldIn().Len(); n > maxEntries {

@@ -23,10 +23,10 @@ import (
 )
 
 // readBody reads the whole request body into a pooled buffer, behind
-// the read deadline and the MaxBody cap. The body is the only place a
-// scoring handler can block, so the per-request timeout is enforced
-// here as a connection read deadline (not http.TimeoutHandler, which
-// buffers whole responses — the streamed NDJSON framing must never be).
+// the read deadline and the body cap. The body is the only place a
+// scoring handler can block, so RequestTimeout is enforced here as a
+// connection read deadline (not http.TimeoutHandler, which buffers
+// whole responses — the streamed NDJSON framing must never be).
 // On failure it answers the request (413 over the cap, 400 otherwise)
 // and returns a nil buffer with the status written; on success the
 // caller owns the buffer until putBuf.
@@ -34,7 +34,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) (
 	// Recorders and other non-net writers report ErrNotSupported;
 	// requests through a real net/http server get the deadline.
 	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	limit := s.cfg.bodyCap()
+	body := http.MaxBytesReader(w, r.Body, limit)
 	buf := getBuf()
 	bb := bytes.NewBuffer((*buf)[:0])
 	_, err := bb.ReadFrom(body)
@@ -46,7 +47,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) (
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		s.writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
-			fmt.Sprintf("%s body exceeds %d bytes", what, s.cfg.MaxBody))
+			fmt.Sprintf("%s body exceeds %d bytes", what, limit))
 		return nil, http.StatusRequestEntityTooLarge
 	}
 	s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad "+what+" request: "+err.Error())

@@ -33,7 +33,7 @@
 // model serving with the error reported to the caller. Scoring
 // endpoints sit behind a bounded-concurrency gate that sheds excess
 // load with 503 + Retry-After instead of queueing unboundedly, and
-// batch body reads sit behind a per-request read deadline. Shutdown
+// POST body reads (batch and observe) sit behind a read deadline. Shutdown
 // drains in-flight requests up to a deadline before returning.
 //
 // The request path is engineered for zero steady-state allocations:
@@ -46,9 +46,9 @@
 // installed, and all three scoring routes copy it out (modelState).
 // Batch bodies are read whole and, in the canonical shape clients send,
 // scanned without encoding/json (request.go). A single-domain score
-// costs ≤ 2 allocations end to end and a batch a constant few whatever
-// its size; scripts/alloccheck.sh gates the handlers against new heap
-// escapes.
+// costs 0 allocations end to end (TestHandlerZeroAlloc) and a batch a
+// constant few whatever its size; scripts/alloccheck.sh gates the
+// handlers against new heap escapes.
 package serve
 
 import (
@@ -79,22 +79,18 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing scoring requests;
 	// excess requests are shed with 503 + Retry-After (default 256).
 	MaxInFlight int
-	// RequestTimeout bounds reading one batch request body (default
-	// 5s). Handlers themselves are non-blocking table lookups, so the
+	// RequestTimeout is the read deadline for one POST request body,
+	// batch or observe (default 5s). It does not bound the request as a
+	// whole: handlers themselves are non-blocking table lookups, so the
 	// body read is the only place a request can stall.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight requests when
 	// the caller's context has no deadline of its own (default 10s).
 	DrainTimeout time.Duration
 	// MaxBatch bounds the domain count of one batch request (default
-	// 10000); larger batches are rejected with 413.
+	// 10000); larger batches are rejected with 413. It also sets the
+	// POST body cap (bodyCap).
 	MaxBatch int
-	// MaxBody bounds the batch request body in bytes; larger bodies
-	// are rejected with 413 before being read further. 0 derives the
-	// cap from MaxBatch so that any legal MaxBatch-domain batch fits:
-	// 64 + 260·MaxBatch (a DNS name is at most 255 bytes; quoting and
-	// a comma cost 3 more).
-	MaxBody int64
 	// FoldIn is the fold-in evidence cache consulted for domains
 	// outside the model. Nil creates a private cache sized by
 	// FoldInMaxEntries/FoldInTTL; pass a stream pipeline's cache to
@@ -130,11 +126,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 10_000
 	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 64 + 260*int64(c.MaxBatch)
-	}
 	return c
 }
+
+// bodyCap bounds a POST request body in bytes; larger bodies are
+// rejected with 413 before being read further. The cap is sized so that
+// any legal MaxBatch-domain batch fits: 64 + 260·MaxBatch (a DNS name
+// is at most 255 bytes; quoting and a comma cost 3 more).
+func (c Config) bodyCap() int64 { return 64 + 260*int64(c.MaxBatch) }
 
 // modelState is one loaded model generation; the Server swaps whole
 // states, and a handler loads the pointer once per request, so every

@@ -10,8 +10,7 @@
 # test suite under the race detector, a train/score persistence round
 # trip on a tiny generated trace, a serving-daemon smoke
 # (score/batch/404/healthz/metrics over HTTP, an observe→score fold-in
-# round trip for an unseen domain, a ~1s loadgen burst that must
-# complete error-free, SIGHUP hot reload, graceful SIGTERM
+# round trip for an unseen domain, SIGHUP hot reload, graceful SIGTERM
 # shutdown), a crash-recovery smoke (streaming run SIGKILLed
 # mid-window, resumed from its checkpoint, feed compared byte-for-byte
 # against an uninterrupted run), the same again sharded (killed at two
@@ -156,13 +155,6 @@ awk -v c="$conf" 'BEGIN { exit !(c >= 0 && c <= 1) }'
 grep -q '"code":"bad_request"' <<<"$(curl -s -X POST \
     -d '{"domain":"x.invalid","relations":[{"view":"dns","neighbor":"y"}]}' \
     "http://$addr/v1/observe")"
-# Load-generator burst: ~1s of paced mixed batch traffic over the
-# NDJSON framing; -check fails the script on any error or if nothing
-# got through.
-"$smokedir/maldetect" loadgen -url "http://$addr" -model "$smokedir/model.bin" \
-    -duration 1s -workers 2 -qps 500 -batch 16 -ndjson -retries 2 -check \
-    >"$smokedir/loadgen.txt"
-grep -q '^loadgen: ' "$smokedir/loadgen.txt"
 # SIGHUP hot reload must keep the daemon serving.
 kill -HUP "$serve_pid"
 for _ in $(seq 1 100); do
