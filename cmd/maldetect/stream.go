@@ -30,7 +30,9 @@ import (
 )
 
 // traceWindow scans the trace once and reports its day-aligned start,
-// day count, and observation count.
+// day count, and observation count. Days are counted from the aligned
+// start, so the count covers the day of the last observation even when
+// the trace does not begin at UTC midnight.
 func traceWindow(tracePath string) (start time.Time, days, n int, err error) {
 	f, err := os.Open(tracePath)
 	if err != nil {
@@ -52,8 +54,8 @@ func traceWindow(tracePath string) (start time.Time, days, n int, err error) {
 	if n == 0 {
 		return time.Time{}, 0, 0, fmt.Errorf("trace %s is empty", tracePath)
 	}
-	days = int(last.Sub(first).Hours()/24) + 1
-	return first.Truncate(24 * time.Hour), days, n, nil
+	start = first.Truncate(24 * time.Hour)
+	return start, int(last.Sub(start)/(24*time.Hour)) + 1, n, nil
 }
 
 // lagIntel keeps only the first frac share of malicious labels (in
@@ -106,14 +108,15 @@ func runStream(args []string) error {
 		samples   = fs.Int("samples", 0, "LINE SGD sample budget (0 = auto)")
 		feedPath  = fs.String("feed", "alerts.tsv", "alert feed output (TSV: day, domain, score)")
 		ckptPath  = fs.String("checkpoint", "", "checkpoint file: written after every day boundary, resumed from on start")
-		shards    = fs.Int("shards", 1,
-			"ingestion goroutines (>1 partitions the trace by device and merges per day; output is identical for any value)")
 		intelFrac = fs.Float64("intel-frac", 0.5,
-			"fraction of malicious truth labels known to the labeler (simulates lagging intel; the rest can surface as alerts)")
+			"fraction of malicious truth labels known to the labeler, in [0, 1] (simulates lagging intel; the rest can surface as alerts)")
 	)
 	sel := stageFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*intelFrac >= 0 && *intelFrac <= 1) {
+		return fmt.Errorf("-intel-frac %v: want a fraction in [0, 1]", *intelFrac)
 	}
 
 	truth, err := readTruth(*truthPath)
@@ -133,7 +136,6 @@ func runStream(args []string) error {
 	cfg := stream.Config{
 		Start:      start,
 		WindowDays: *window,
-		Shards:     *shards,
 		Detector: core.Config{
 			Seed:         *seed,
 			EmbedDim:     *dim,
@@ -179,7 +181,6 @@ func runStream(args []string) error {
 			return err
 		}
 	}
-	defer r.Close()
 
 	// The feed picks up exactly where the checkpoint left it: alerts
 	// written after the checkpointed offset belong to boundaries that

@@ -282,11 +282,11 @@ func (p *Processor) Config() Config { return p.cfg }
 
 // MismatchError reports why a set of processors cannot be merged:
 // their configurations disagree on a field that would make minute, day,
-// or bucket indices mean different things in different shards, or their
+// or bucket indices mean different things in different inputs, or their
 // day cursors have drifted further apart than the caller's window
 // allows. Field is one of "start", "bucket", "suffixes", or "days";
 // Want/Got render the disagreeing values. Nothing recovers from it:
-// shard.Pool.CloseDay wraps it and that day's close fails.
+// stream.Rolling wraps it and that day boundary degrades with no model.
 type MismatchError struct {
 	// Field names the disagreeing configuration dimension.
 	Field string
@@ -301,12 +301,12 @@ func (e *MismatchError) Error() string {
 
 // Merge combines the aggregates of several processors into one new
 // processor, leaving the inputs untouched (their state is deep-copied,
-// never aliased). It is how sharded aggregation composes: the streaming
+// never aliased). It is how per-day aggregation composes: the streaming
 // mode keeps one processor per day and merges the current window at
 // each remodel instead of replaying raw observations.
 //
 // All inputs must share the same Start, Bucket, and Suffixes so minute,
-// day, and bucket indices mean the same thing in every shard; Days may
+// day, and bucket indices mean the same thing in every input; Days may
 // differ (the merged processor takes the maximum) and DHCP is not
 // consulted (device pinning already happened at Consume time). The
 // merge is deterministic: every combination step — set unions, count
@@ -323,7 +323,7 @@ func Merge(ps ...*Processor) (*Processor, error) {
 // with a *MismatchError on field "days". A rolling deployment merging
 // the per-day processors of a W-day window expects cursors to span at
 // most W consecutive days; a wider spread means a stale or corrupt
-// aggregate (for example a shard restored from the wrong generation)
+// aggregate (for example a day restored from the wrong generation)
 // slipped in, and merging it would silently rewrite history. window <= 0
 // disables the guard, which is plain Merge.
 func MergeWindow(window int, ps ...*Processor) (*Processor, error) {

@@ -276,12 +276,6 @@ func restore(rd io.Reader, cfg Config) (*Rolling, Cursor, error) {
 	if err := r.restoreWarmState(wire); err != nil {
 		return nil, Cursor{}, err
 	}
-	// The shard pool is process-local scratch, not checkpoint state (the
-	// fingerprint deliberately excludes Shards): a restored detector
-	// re-attaches a fresh pool so replayed ingestion runs sharded too.
-	if err := r.attachPool(); err != nil {
-		return nil, Cursor{}, err
-	}
 	return r, wire.Cursor, nil
 }
 

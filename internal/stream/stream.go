@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/pipeline"
-	"repro/internal/shard"
 )
 
 // Labeler supplies the currently known labels when a model is rebuilt.
@@ -68,20 +67,6 @@ type Config struct {
 	// maldomain_checkpoint_write_seconds, maldomain_restores_total{result},
 	// and maldomain_degraded_days_total.
 	Metrics *obsv.Registry
-	// Shards, when greater than 1, runs ingestion through a shard pool:
-	// observations are partitioned by device across Shards goroutines,
-	// each aggregating independently, and every EndOfDay merges the shard
-	// aggregates back into the day's processor. Because the merge is
-	// deterministic and order-independent, the alert feed and checkpoint
-	// bytes are identical to a serial run for any shard count — Shards is
-	// excluded from the checkpoint fingerprint, so a checkpoint taken at
-	// one shard count restores at another. A panic in a shard goroutine
-	// fails the next EndOfDay with a plain (not Degraded) error; recovery
-	// is a restart from the last checkpoint. Sharded mode expects EndOfDay
-	// at every day boundary in order (the usual streaming protocol);
-	// skipping a boundary folds the skipped day's aggregates into the next
-	// closed day.
-	Shards int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -133,10 +118,6 @@ type Rolling struct {
 	// (through core.Config.EmbedInit, backend-agnostically).
 	prevIndex map[string]int
 	prevEmb   map[bipartite.View]*core.Embedding
-
-	// pool aggregates ingestion on Config.Shards goroutines when that is
-	// greater than 1; nil in serial mode.
-	pool *shard.Pool
 }
 
 // New returns a Rolling detector.
@@ -145,48 +126,18 @@ func New(cfg Config) (*Rolling, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Rolling{
+	return &Rolling{
 		cfg:     cfg,
 		days:    make(map[int]*pipeline.Processor),
 		lastDay: -1,
 		floor:   -1,
 		flagged: make(map[string]bool),
-	}
-	if err := r.attachPool(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	}, nil
 }
 
-// attachPool creates the shard pool for sharded ingestion. The pool
-// shares the detector's DHCP and suffix tables so shard-side day
-// processors are configured exactly like serial ones.
-func (r *Rolling) attachPool() error {
-	if r.cfg.Shards <= 1 {
-		return nil
-	}
-	pool, err := shard.New(shard.Config{
-		Shards:   r.cfg.Shards,
-		Start:    r.cfg.Start,
-		DHCP:     r.cfg.Detector.DHCP,
-		Suffixes: r.cfg.Detector.Suffixes,
-		Metrics:  r.cfg.Metrics,
-	})
-	if err != nil {
-		return fmt.Errorf("stream: creating shard pool: %w", err)
-	}
-	r.pool = pool
-	return nil
-}
-
-// Close stops the shard workers in sharded mode; a serial detector
-// needs no teardown and Close is a no-op. Safe to call more than once.
-func (r *Rolling) Close() error {
-	if r.pool == nil {
-		return nil
-	}
-	return r.pool.Close()
-}
+// Close releases nothing: a Rolling detector holds no goroutines, files
+// or other resources beyond its memory. It always returns nil.
+func (r *Rolling) Close() error { return nil }
 
 // Consume folds one observation into its day's aggregation processor.
 // Observations timestamped before Config.Start are clamped into day 0
@@ -202,13 +153,6 @@ func (r *Rolling) Consume(in pipeline.Input) {
 	if day <= r.floor {
 		// Already represented by the restored checkpoint: a caller
 		// replaying its input stream after Restore need not filter it.
-		return
-	}
-	if r.pool != nil {
-		r.pool.Consume(in)
-		if day > r.lastDay {
-			r.lastDay = day
-		}
 		return
 	}
 	p := r.days[day]
@@ -353,20 +297,6 @@ func (r *Rolling) EndOfDay(day int) ([]Alert, error) {
 	if day <= r.floor {
 		return nil, fmt.Errorf("stream: day %d already covered by the restored checkpoint (through day %d)",
 			day, r.floor)
-	}
-	if r.pool != nil {
-		// Day-boundary barrier: collect every shard's aggregates for this
-		// day (and any earlier still-open day) and merge them into the
-		// same per-day processor a serial run would have built. A shard
-		// goroutine that panicked fails the boundary outright: no model is
-		// built over a partial day.
-		merged, _, err := r.pool.CloseDay(day)
-		if err != nil {
-			return nil, fmt.Errorf("stream: closing shard pool at day %d: %w", day, err)
-		}
-		if merged != nil {
-			r.days[day] = merged
-		}
 	}
 	alerts, stage, err := r.modelDay(day)
 	// Evict in all paths: a bad day must not pin its window in memory

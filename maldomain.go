@@ -211,12 +211,6 @@ type Labeler = stream.Labeler
 // NewRolling returns a streaming detector for cfg.
 func NewRolling(cfg StreamConfig) (*Rolling, error) { return stream.New(cfg) }
 
-// Sharded ingestion (StreamConfig.Shards > 1) partitions observations
-// by device across that many goroutines and merges their aggregates at
-// each EndOfDay; the merged output is byte-identical to a serial run.
-// A panic in a shard goroutine fails that EndOfDay; recovery is a
-// restart from the last checkpoint, as for any other crash.
-
 // Crash safety: a Rolling detector checkpoints its full state at day
 // boundaries (Rolling.WriteCheckpoint) and a restart restores it
 // (RestoreRolling / RestoreRollingFile) and replays the input stream;

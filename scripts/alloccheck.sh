@@ -10,26 +10,16 @@
 # the per-sample work of LINE training (matrix.sample, matrix.step and
 # AliasTable.Sample).
 # This script runs the compiler's escape analysis
-# (go build -gcflags='-m') over those packages, counts
-# `escapes to heap` diagnostics inside each annotated function, and
-# compares the counts against the committed budget in
-# scripts/alloccheck.baseline (one `file:Func N` line per function;
-# an unlisted function's budget is 0).
+# (go build -gcflags='-m') over those packages and fails if any
+# `escapes to heap` diagnostic falls inside an annotated function: the
+# budget is zero for every one of them.
 #
-# Unlike its earlier informational incarnation, this is a CI gate: a
-# change that introduces a new heap escape in an annotated function
-# fails check.sh. If the escape is intentional, re-run with -update and
-# commit the regenerated baseline alongside the change.
-#
-# Usage: scripts/alloccheck.sh [-update]
+# Usage: scripts/alloccheck.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline="scripts/alloccheck.baseline"
 packages="internal/core internal/serve internal/etld internal/dhcp internal/line internal/graph"
-update=0
-[ "${1:-}" = "-update" ] && update=1
 
 # Locate annotated functions: file, name, start line, end line. The
 # marker must sit in the comment block directly above the declaration;
@@ -62,41 +52,21 @@ fi
 escapes="$(go build -gcflags='-m' $(printf './%s ' $packages) 2>&1 |
     grep 'escapes to heap' || true)"
 
-budget_for() {
-    local key="$1"
-    if [ -f "$baseline" ]; then
-        awk -v k="$key" '$1 == k { print $2; found = 1 } END { if (!found) print 0 }' "$baseline"
-    else
-        echo 0
-    fi
-}
-
 fail=0
-newbase=""
 while read -r file name start end; do
-    count="$(awk -F: -v f="$file" -v s="$start" -v e="$end" \
-        '$1 == f && $2 + 0 >= s && $2 + 0 <= e' <<<"$escapes" | wc -l | tr -d ' ')"
-    newbase+="$file:$name $count"$'\n'
-    budget="$(budget_for "$file:$name")"
-    if [ "$count" -gt "$budget" ]; then
-        echo "alloccheck: FAIL $file:$name: $count heap escape(s), budget $budget"
-        awk -F: -v f="$file" -v s="$start" -v e="$end" \
-            '$1 == f && $2 + 0 >= s && $2 + 0 <= e' <<<"$escapes" |
-            sed 's/^/alloccheck:   /'
+    inside="$(awk -F: -v f="$file" -v s="$start" -v e="$end" \
+        '$1 == f && $2 + 0 >= s && $2 + 0 <= e' <<<"$escapes")"
+    if [ -n "$inside" ]; then
+        echo "alloccheck: FAIL $file:$name: $(wc -l <<<"$inside" | tr -d ' ') heap escape(s)"
+        sed 's/^/alloccheck:   /' <<<"$inside"
         fail=1
     else
-        echo "alloccheck: ok   $file:$name: $count heap escape(s) (budget $budget)"
+        echo "alloccheck: ok   $file:$name"
     fi
 done <<<"$marked"
 
-if [ "$update" -eq 1 ]; then
-    printf '%s' "$newbase" | sort >"$baseline"
-    echo "alloccheck: wrote $baseline"
-    exit 0
-fi
-
 if [ "$fail" -ne 0 ]; then
-    echo "alloccheck: hot-path functions gained heap escapes; fix them or re-baseline with scripts/alloccheck.sh -update" >&2
+    echo "alloccheck: hot-path functions gained heap escapes; remove them" >&2
     exit 1
 fi
-echo "alloccheck: hot path within allocation budget"
+echo "alloccheck: no heap escapes on the hot path"

@@ -6,17 +6,16 @@
 # one), the sealed-file gate, the
 # maldlint static analyzer (zero findings; //maldlint:ignore is the only
 # way to accept one), the escape-analysis gate for the scoring, ingest and SGD
-# hot paths (scripts/alloccheck.sh against its committed baseline), the full
+# hot paths (scripts/alloccheck.sh: no heap escape allowed), the full
 # test suite under the race detector, a train/score persistence round
 # trip on a tiny generated trace, a serving-daemon smoke
 # (score/batch/404/healthz/metrics over HTTP, an observe→score fold-in
 # round trip for an unseen domain, SIGHUP hot reload, graceful SIGTERM
 # shutdown), a crash-recovery smoke (streaming run SIGKILLed
 # mid-window, resumed from its checkpoint, feed compared byte-for-byte
-# against an uninterrupted run), the same again sharded (killed at two
-# shards, resumed at three), the two examples, the ledger's quick smoke,
-# and a short fuzz smoke for each native fuzz target. Every step must
-# pass; the script stops at the first failure.
+# against an uninterrupted run), the two examples, the ledger's quick
+# smoke, and a short fuzz smoke for each native fuzz target. Every step
+# must pass; the script stops at the first failure.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target -fuzztime for the smoke stage (default 10s;
@@ -174,49 +173,28 @@ echo "==> maldetect crash-recovery smoke"
 "$smokedir/maldetect" stream -seed 7 \
     -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
     -feed "$smokedir/ref-alerts.tsv" 2>"$smokedir/ref-stream.log"
-# crash_resume NAME FLAGS RESUME_FLAGS: SIGKILL a checkpointed run as soon
-# as its first checkpoint lands (the remaining day boundaries are still
-# pending), restart it, and require the resumed feed to be byte-identical
-# to the uninterrupted serial reference.
-crash_resume() {
-    local name="$1" flags="$2" resume_flags="$3"
-    # shellcheck disable=SC2086 # the flag strings are meant to split
-    "$smokedir/maldetect" stream -seed 7 $flags \
-        -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
-        -feed "$smokedir/$name-alerts.tsv" -checkpoint "$smokedir/$name.ckpt" \
-        2>"$smokedir/$name.log" &
-    stream_pid=$!
-    for _ in $(seq 1 300); do
-        [ -f "$smokedir/$name.ckpt" ] && break
-        sleep 0.1
-    done
-    [ -f "$smokedir/$name.ckpt" ]
-    kill -9 "$stream_pid" 2>/dev/null || true
-    wait "$stream_pid" 2>/dev/null || true
-    stream_pid=""
-    # shellcheck disable=SC2086
-    "$smokedir/maldetect" stream -seed 7 $resume_flags \
-        -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
-        -feed "$smokedir/$name-alerts.tsv" -checkpoint "$smokedir/$name.ckpt" \
-        2>>"$smokedir/$name.log"
-    grep -q 'resumed from' "$smokedir/$name.log"
-    cmp "$smokedir/ref-alerts.tsv" "$smokedir/$name-alerts.tsv"
-}
-# Same flags before and after the crash.
-crash_resume serial "" ""
-
-echo "==> sharded-ingestion smoke"
-# The whole package under the race detector, the worker-panic test
-# included: the pool's only concurrency is the batch hand-off.
-go test -race ./internal/shard
-# The same SIGKILL-resume, sharded: killed at 2 shards, resumed at 3. The
-# pool keeps nothing on disk; recovery is the stream checkpoint's, and the
-# shard count is not part of it.
-crash_resume shard "-shards 2" "-shards 3"
-# The per-shard checkpoint directory is gone, and so is its flag.
-status=0
-"$smokedir/maldetect" stream -shard-dir x 2>/dev/null || status=$?
-[ "$status" = 2 ]
+# SIGKILL a checkpointed run as soon as its first checkpoint lands (the
+# remaining day boundaries are still pending), restart it, and require
+# the resumed feed to be byte-identical to the reference.
+"$smokedir/maldetect" stream -seed 7 \
+    -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
+    -feed "$smokedir/crash-alerts.tsv" -checkpoint "$smokedir/crash.ckpt" \
+    2>"$smokedir/crash.log" &
+stream_pid=$!
+for _ in $(seq 1 300); do
+    [ -f "$smokedir/crash.ckpt" ] && break
+    sleep 0.1
+done
+[ -f "$smokedir/crash.ckpt" ]
+kill -9 "$stream_pid" 2>/dev/null || true
+wait "$stream_pid" 2>/dev/null || true
+stream_pid=""
+"$smokedir/maldetect" stream -seed 7 \
+    -trace "$smokedir/trace.tsv" -truth "$smokedir/truth.tsv" \
+    -feed "$smokedir/crash-alerts.tsv" -checkpoint "$smokedir/crash.ckpt" \
+    2>>"$smokedir/crash.log"
+grep -q 'resumed from' "$smokedir/crash.log"
+cmp "$smokedir/ref-alerts.tsv" "$smokedir/crash-alerts.tsv"
 
 echo "==> examples"
 # Each must run to its end: the toy trace surfaces its held-out C&C
