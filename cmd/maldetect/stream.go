@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dhcp"
-	"repro/internal/obsv"
 	"repro/internal/pipeline"
 	"repro/internal/stream"
 )
@@ -156,7 +155,6 @@ func runStream(args []string) error {
 			}
 			return outD, outL
 		},
-		Metrics: obsv.NewRegistry(),
 	}
 
 	// Resume from the latest checkpoint when one exists; a missing file

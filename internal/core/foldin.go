@@ -35,7 +35,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -414,24 +413,6 @@ func (c *FoldInCache) reclaim(now time.Time) (evicted, expired int) {
 		c.queue = live
 	}
 	return evicted, expired
-}
-
-// Sweep removes every entry whose TTL has lapsed at now and returns
-// how many were dropped.
-func (c *FoldInCache) Sweep(now time.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var stale []string
-	for d, e := range c.entries {
-		if now.Sub(e.seen) > c.cfg.TTL {
-			stale = append(stale, d)
-		}
-	}
-	sort.Strings(stale)
-	for _, d := range stale {
-		delete(c.entries, d)
-	}
-	return len(stale)
 }
 
 // Len reports the live entry count.

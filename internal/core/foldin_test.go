@@ -194,7 +194,7 @@ func TestFoldInCacheMerge(t *testing.T) {
 }
 
 // TestFoldInCacheTTL: entries expire TTL after their last observation
-// and are reclaimed by Sweep.
+// and are reclaimed by the next Observe.
 func TestFoldInCacheTTL(t *testing.T) {
 	sc := tinyScorer(t, 5)
 	cache := NewFoldInCache(FoldInConfig{TTL: time.Minute})
@@ -207,11 +207,11 @@ func TestFoldInCacheTTL(t *testing.T) {
 	if _, ok := cache.Score(sc, "fresh.example", now.Add(2*time.Minute)); ok {
 		t.Fatal("entry scored after its TTL")
 	}
-	if n := cache.Sweep(now.Add(2 * time.Minute)); n != 1 {
-		t.Fatalf("Sweep reclaimed %d entries, want 1", n)
+	if _, expired := cache.Observe("later.example", foldinRelations(sc), now.Add(2*time.Minute)); expired != 1 {
+		t.Fatalf("Observe reclaimed %d expired entries, want 1", expired)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("Len %d after sweep", cache.Len())
+	if cache.Len() != 1 {
+		t.Fatalf("Len %d after reclaim, want 1", cache.Len())
 	}
 }
 

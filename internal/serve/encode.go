@@ -1,12 +1,13 @@
 package serve
 
-// Manual JSON encoding for the scoring hot path. The response shapes
-// the daemon serves per request are tiny and fixed (ScoreResponse,
-// BatchResponse, the ErrorBody envelope), yet encoding/json
-// costs dozens of heap allocations per call: the encoder machinery,
-// reflection state, and intermediate buffers dominated the serve
-// profile (42 allocs and 7.9 KB per single score). This file
-// hand-encodes exactly those shapes into pooled []byte buffers.
+// Manual JSON encoding for the scoring hot path. The result shape the
+// daemon serves per request is tiny and fixed (ScoreResponse, alone or
+// inside BatchResponse), yet encoding/json costs dozens of heap
+// allocations per call: the encoder machinery, reflection state, and
+// intermediate buffers dominated the serve profile (42 allocs and
+// 7.9 KB per single score). This file hand-encodes exactly that shape
+// into pooled []byte buffers; every other response, error envelopes
+// included, goes through encoding/json (writeJSON).
 //
 // The contract is byte-for-byte equivalence with what
 // json.NewEncoder(w).Encode(v) produced before — same field order,
@@ -17,24 +18,26 @@ package serve
 // that change a response shape must extend both the appender and the
 // equivalence test.
 //
-// The appenders have two consumers: handlers encoding a response per
-// request (fold-in verdicts, no-evidence batch entries, errors), and
-// renderRows, which runs appendScoreResponse once per retained domain
-// at model load and lets every scoring route serve the stored bytes. The
-// second leans on one more identity, pinned by
-// TestRenderedRowsMatchEncoders: with a non-empty source,
-// appendScoreResponse(…) equals appendBatchResult(…) plus a newline, so
-// the two must keep their field order and formats in step.
+// appendResult has two consumers: handlers encoding a result per
+// request (fold-in verdicts, no-evidence batch entries), and
+// renderRows, which runs it once per retained domain at model load and
+// lets every scoring route serve the stored bytes
+// (TestRenderedRowsMatchEncoders). Either way a result plus a newline
+// is a whole GET /v1/score/{domain} body, as json.Encoder.Encode writes
+// it, and an NDJSON line; without the newline it is a BatchResponse
+// entry.
 
 import (
 	"math"
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/core"
 )
 
 // bufPool recycles response-encoding buffers. Buffers start at 1 KB
-// (a single-score or error response fits with room to spare) and grow
+// (a single-score response fits with room to spare) and grow
 // with use; oversized buffers (large batch responses) are dropped on
 // Put so a burst of 10k-domain batches cannot pin megabytes forever.
 var bufPool = sync.Pool{
@@ -155,68 +158,29 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendScoreResponse appends the ScoreResponse JSON document,
-// including the trailing newline json.Encoder.Encode wrote.
-func appendScoreResponse(dst []byte, domain string, score float64, label int, known bool, confidence float64, source string) []byte {
+// appendResult appends one ScoreResponse object for domain's verdict
+// res (no newline; the caller ends the line or places the object inside
+// an array). An empty source is omitted, matching the struct's
+// omitempty tag.
+func appendResult(dst []byte, domain string, res core.Result) []byte {
 	dst = append(dst, `{"domain":`...)
 	dst = appendJSONString(dst, domain)
 	dst = append(dst, `,"score":`...)
-	dst = appendJSONFloat(dst, score)
+	dst = appendJSONFloat(dst, res.Score)
 	dst = append(dst, `,"label":`...)
-	dst = strconv.AppendInt(dst, int64(label), 10)
-	if known {
+	dst = strconv.AppendInt(dst, int64(res.Label), 10)
+	if res.Known {
 		dst = append(dst, `,"known":true`...)
 	} else {
 		dst = append(dst, `,"known":false`...)
 	}
 	dst = append(dst, `,"confidence":`...)
-	dst = appendJSONFloat(dst, confidence)
-	dst = append(dst, `,"source":`...)
-	dst = appendJSONString(dst, source)
-	return append(dst, '}', '\n')
-}
-
-// appendBatchResult appends one BatchResult object (no newline; the
-// caller places it inside an array or an NDJSON line). An empty source
-// is omitted, matching the struct's omitempty tag.
-func appendBatchResult(dst []byte, domain string, score float64, label int, known bool, confidence float64, source string) []byte {
-	dst = append(dst, `{"domain":`...)
-	dst = appendJSONString(dst, domain)
-	dst = append(dst, `,"score":`...)
-	dst = appendJSONFloat(dst, score)
-	dst = append(dst, `,"label":`...)
-	dst = strconv.AppendInt(dst, int64(label), 10)
-	if known {
-		dst = append(dst, `,"known":true`...)
-	} else {
-		dst = append(dst, `,"known":false`...)
-	}
-	dst = append(dst, `,"confidence":`...)
-	dst = appendJSONFloat(dst, confidence)
-	if source != "" {
+	dst = appendJSONFloat(dst, res.Confidence)
+	if res.Source != "" {
 		dst = append(dst, `,"source":`...)
-		dst = appendJSONString(dst, source)
+		dst = appendJSONString(dst, res.Source)
 	}
 	return append(dst, '}')
-}
-
-// appendErrorEnvelope appends the structured error body every non-2xx
-// /v1 response carries, newline-terminated like json.Encoder.Encode:
-//
-//	{"error":{"code":"...","message":"...","retry_after_ms":N}}
-//
-// retry_after_ms is omitted when zero, matching ErrorDetail's
-// omitempty tag.
-func appendErrorEnvelope(dst []byte, code, msg string, retryAfterMS int64) []byte {
-	dst = append(dst, `{"error":{"code":`...)
-	dst = appendJSONString(dst, code)
-	dst = append(dst, `,"message":`...)
-	dst = appendJSONString(dst, msg)
-	if retryAfterMS != 0 {
-		dst = append(dst, `,"retry_after_ms":`...)
-		dst = strconv.AppendInt(dst, retryAfterMS, 10)
-	}
-	return append(dst, '}', '}', '\n')
 }
 
 // statusText returns the ASCII form of the HTTP status codes the

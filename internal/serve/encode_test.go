@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // nastyStrings exercises every branch of appendJSONString: named
@@ -56,10 +58,11 @@ func encodeRef(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// TestManualEncodingEquivalence pins the hand-rolled appenders to
-// encoding/json byte for byte, across every response shape the daemon
-// hand-encodes and the full nasty-input matrix. This test is the
-// license for encode.go to exist.
+// TestManualEncodingEquivalence pins the hand-rolled result appender
+// to encoding/json byte for byte, over the full nasty-input matrix:
+// appendResult plus a newline is json.Encoder.Encode of the
+// ScoreResponse struct, empty source (omitted) included. This test is
+// the license for encode.go to exist.
 func TestManualEncodingEquivalence(t *testing.T) {
 	sources := []string{"", "model", "foldin", "knn"}
 	for _, s := range nastyStrings {
@@ -71,34 +74,13 @@ func TestManualEncodingEquivalence(t *testing.T) {
 							Domain: s, Score: f, Label: label,
 							Known: known, Confidence: f, Source: src,
 						})
-						got := appendScoreResponse(nil, s, f, label, known, f, src)
-						if !bytes.Equal(got, want) {
+						res := core.Result{Score: f, Label: label, Known: known, Confidence: f, Source: src}
+						if got := append(appendResult(nil, s, res), '\n'); !bytes.Equal(got, want) {
 							t.Fatalf("ScoreResponse(%q, %v, %d, %v, %q):\n got %s\nwant %s",
 								s, f, label, known, src, got, want)
 						}
-						wantBR, err := json.Marshal(BatchResult{
-							Domain: s, Score: f, Label: label,
-							Known: known, Confidence: f, Source: src,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotBR := appendBatchResult(nil, s, f, label, known, f, src)
-						if !bytes.Equal(gotBR, wantBR) {
-							t.Fatalf("BatchResult(%q, %v, %d, %v, %q):\n got %s\nwant %s",
-								s, f, label, known, src, gotBR, wantBR)
-						}
 					}
 				}
-			}
-		}
-		for _, retry := range []int64{0, 1000} {
-			wantErr := encodeRef(t, ErrorBody{Error: ErrorDetail{
-				Code: "bad_request", Message: s, RetryAfterMS: retry,
-			}})
-			gotErr := appendErrorEnvelope(nil, "bad_request", s, retry)
-			if !bytes.Equal(gotErr, wantErr) {
-				t.Fatalf("error envelope(%q, retry=%d):\n got %s\nwant %s", s, retry, gotErr, wantErr)
 			}
 		}
 	}
@@ -155,9 +137,9 @@ func TestServedEncodingEquivalence(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	results := make([]BatchResult, 0, len(queries))
+	results := make([]ScoreResponse, 0, len(queries))
 	for _, r := range scorerA.ScoreBatch(queries) {
-		results = append(results, BatchResult{
+		results = append(results, ScoreResponse{
 			Score: r.Score, Label: r.Label, Known: r.Known,
 			Confidence: r.Confidence, Source: r.Source,
 		})
@@ -173,7 +155,7 @@ func TestServedEncodingEquivalence(t *testing.T) {
 	// Empty batch: results must render as [], not null.
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score/batch", strings.NewReader(`{"domains":[]}`)))
-	want = encodeRef(t, BatchResponse{Results: []BatchResult{}, Fingerprint: scorerA.Fingerprint()})
+	want = encodeRef(t, BatchResponse{Results: []ScoreResponse{}, Fingerprint: scorerA.Fingerprint()})
 	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("empty batch body:\n got %s\nwant %s", got, want)
 	}
@@ -181,11 +163,8 @@ func TestServedEncodingEquivalence(t *testing.T) {
 
 // TestRenderedRowsMatchEncoders pins the row table loadModel renders to
 // the encoders it stands in for: every retained domain's row is
-// appendScoreResponse's output, which is appendBatchResult's plus a
-// newline, which is encoding/json's of the documented struct. The
-// middle identity is what lets one row serve all three scoring routes;
-// it is checked over the nasty-input matrix too, since it must hold for
-// whatever a model's domain names and scores turn out to be.
+// appendResult's output plus a newline, which is encoding/json's of the
+// documented struct.
 func TestRenderedRowsMatchEncoders(t *testing.T) {
 	modelA, _, scorerA, _ := models(t)
 	s, _ := newTestServer(t, modelA, nil)
@@ -203,11 +182,9 @@ func TestRenderedRowsMatchEncoders(t *testing.T) {
 		score, _ := scorerA.Score(d)
 		label, _ := scorerA.Predict(d)
 		row := st.row(i)
-		if want := appendScoreResponse(nil, d, score, label, true, 1, "model"); !bytes.Equal(row, want) {
-			t.Fatalf("row of %s:\n got %s\nwant %s (appendScoreResponse)", d, row, want)
-		}
-		if want := append(appendBatchResult(nil, d, score, label, true, 1, "model"), '\n'); !bytes.Equal(row, want) {
-			t.Fatalf("row of %s:\n got %s\nwant %s (appendBatchResult + newline)", d, row, want)
+		res := core.Result{Score: score, Label: label, Known: true, Confidence: 1, Source: "model"}
+		if want := append(appendResult(nil, d, res), '\n'); !bytes.Equal(row, want) {
+			t.Fatalf("row of %s:\n got %s\nwant %s (appendResult + newline)", d, row, want)
 		}
 		want := encodeRef(t, ScoreResponse{Domain: d, Score: score, Label: label, Known: true, Confidence: 1, Source: "model"})
 		if !bytes.Equal(row, want) {
@@ -216,17 +193,6 @@ func TestRenderedRowsMatchEncoders(t *testing.T) {
 	}
 	if _, ok := st.scorer.Index("missing.example"); ok {
 		t.Fatal("Index found a domain outside the model")
-	}
-	for _, d := range nastyStrings {
-		for _, f := range nastyFloats {
-			for _, label := range []int{0, 1} {
-				one := appendScoreResponse(nil, d, f, label, true, 1, "model")
-				other := append(appendBatchResult(nil, d, f, label, true, 1, "model"), '\n')
-				if !bytes.Equal(one, other) {
-					t.Fatalf("(%q, %v, %d): score response %s != batch line %s", d, f, label, one, other)
-				}
-			}
-		}
 	}
 }
 

@@ -49,12 +49,12 @@ var ErrNDJSONSyntax = errors.New("serve: malformed NDJSON stream")
 const maxNDJSONLine = 1 << 16
 
 // DecodeNDJSON reads a complete NDJSON batch response: the header
-// line, then one BatchResult per line until EOF. It is the reference
+// line, then one ScoreResponse per line until EOF. It is the reference
 // consumer the equivalence and reload tests decode with. Malformed
 // input — an empty stream, a non-JSON line, or a line exceeding
 // maxNDJSONLine — returns an error wrapping ErrNDJSONSyntax; the
 // results decoded before the bad line are returned alongside it.
-func DecodeNDJSON(r io.Reader) (NDJSONHeader, []BatchResult, error) {
+func DecodeNDJSON(r io.Reader) (NDJSONHeader, []ScoreResponse, error) {
 	var hdr NDJSONHeader
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 4096), maxNDJSONLine)
@@ -67,13 +67,13 @@ func DecodeNDJSON(r io.Reader) (NDJSONHeader, []BatchResult, error) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		return hdr, nil, fmt.Errorf("%w: header: %v", ErrNDJSONSyntax, err)
 	}
-	var results []BatchResult
+	var results []ScoreResponse
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue // tolerate a trailing blank line
 		}
-		var res BatchResult
+		var res ScoreResponse
 		if err := json.Unmarshal(line, &res); err != nil {
 			return hdr, results, fmt.Errorf("%w: line %d: %v", ErrNDJSONSyntax, len(results)+2, err)
 		}

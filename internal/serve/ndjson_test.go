@@ -65,7 +65,7 @@ func TestNDJSONEndpoint(t *testing.T) {
 }
 
 // TestNDJSONLineEquivalence pins each streamed line byte-for-byte to
-// json.Marshal of the BatchResult struct — the same equivalence
+// json.Marshal of the ScoreResponse struct — the same equivalence
 // contract the buffered document carries, per line.
 func TestNDJSONLineEquivalence(t *testing.T) {
 	modelA, _, scorerA, _ := models(t)
@@ -82,7 +82,7 @@ func TestNDJSONLineEquivalence(t *testing.T) {
 		t.Fatalf("header line %q, want %q", lines[0], wantHdr)
 	}
 	for i, r := range scorerA.ScoreBatch(queries) {
-		wantLine, _ := json.Marshal(BatchResult{
+		wantLine, _ := json.Marshal(ScoreResponse{
 			Domain: queries[i], Score: r.Score, Label: r.Label, Known: r.Known,
 			Confidence: r.Confidence, Source: r.Source,
 		})

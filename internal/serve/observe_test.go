@@ -150,6 +150,54 @@ func TestObserveScoreRoundTrip(t *testing.T) {
 	}
 }
 
+// weightBody is an observe body relating domain to four retained
+// neighbours in all three views, every relation at weight w.
+func weightBody(t testing.TB, domain string, neighbors []string, w float64) []byte {
+	t.Helper()
+	req := ObserveRequest{Domain: domain}
+	for _, n := range neighbors[:4] {
+		for _, view := range []string{"query", "ip", "time"} {
+			req.Relations = append(req.Relations, ObserveRelation{View: view, Neighbor: n, Weight: w})
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestObserveWeightBound: a weight above maxObserveWeight is rejected
+// before it reaches the cache. Unbounded, 1e308 overflowed the
+// fold-in's weighted sums to ±Inf, and every scoring route then served
+// a NaN score, which is not JSON. At the bound the evidence is accepted
+// and the verdict is JSON.
+func TestObserveWeightBound(t *testing.T) {
+	modelA, _, scorerA, _ := models(t)
+	s, _ := newTestServer(t, modelA, nil)
+	const unseen = "huge-weight.example"
+	rec := getJSON(t, s.Handler(), "POST", "/v1/observe",
+		bytes.NewReader(weightBody(t, unseen, scorerA.Domains(), 1e308)), nil)
+	var envelope ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); rec.Code != http.StatusBadRequest || err != nil ||
+		envelope.Error.Code != "bad_request" || !strings.Contains(envelope.Error.Message, "relation 0") {
+		t.Fatalf("weight 1e308: status %d %q, want 400 bad_request naming relation 0", rec.Code, rec.Body.String())
+	}
+	if rec := getJSON(t, s.Handler(), "GET", "/v1/score/"+unseen, nil, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("rejected evidence scored: status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	rec = getJSON(t, s.Handler(), "POST", "/v1/observe",
+		bytes.NewReader(weightBody(t, unseen, scorerA.Domains(), maxObserveWeight)), nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("weight at the bound: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec = getJSON(t, s.Handler(), "GET", "/v1/score/"+unseen, nil, nil)
+	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("verdict at the bound: status %d, body %q", rec.Code, rec.Body.String())
+	}
+}
+
 // TestObserveValidation covers the endpoint's rejection paths, all of
 // which must carry the structured envelope with a stable code.
 func TestObserveValidation(t *testing.T) {
@@ -301,7 +349,7 @@ func wantObserveStatus(body []byte, bodyCap int) int {
 		return http.StatusBadRequest
 	}
 	for _, rel := range req.Relations {
-		if _, ok := viewByName(rel.View); !ok || rel.Neighbor == "" {
+		if _, ok := viewByName(rel.View); !ok || rel.Neighbor == "" || rel.Weight > maxObserveWeight {
 			return http.StatusBadRequest
 		}
 	}
@@ -312,7 +360,9 @@ func wantObserveStatus(body []byte, bodyCap int) int {
 // route that decodes untrusted input into the daemon's state: it must
 // not panic, must answer 200 exactly when the body is one ObserveRequest
 // document that passes validation (413 over the body cap, 400 for
-// everything else), and must keep the fold-in cache within its bound.
+// everything else), must keep the fold-in cache within its bound, and
+// after every accepted body must still answer GET /v1/score/{domain}
+// with valid JSON.
 func FuzzObserveBody(f *testing.F) {
 	const maxBatch, maxEntries = 4, 4
 	const bodyCap = 64 + 260*maxBatch // 1104 bytes
@@ -332,6 +382,7 @@ func FuzzObserveBody(f *testing.F) {
 		`{"relations":[{"view":"query","neighbor":"` + neighbor + `"}]}`,
 		`{"DOMAIN":"z.example","Relations":[{"View":"query","Neighbor":"` + neighbor + `"}]}`,
 		valid[:len(valid)-1] + strings.Repeat(" ", bodyCap) + "}",
+		string(weightBody(f, "huge.example", scorerA.Domains(), 1e308)),
 	} {
 		f.Add([]byte(seed))
 	}
@@ -341,8 +392,21 @@ func FuzzObserveBody(f *testing.F) {
 		if want := wantObserveStatus(body, bodyCap); rec.Code != want {
 			t.Fatalf("POST /v1/observe %q: status %d, want %d: %s", body, rec.Code, want, rec.Body.String())
 		}
-		if n := s.FoldIn().Len(); n > maxEntries {
+		if n := s.foldin.Len(); n > maxEntries {
 			t.Fatalf("fold-in cache holds %d entries, bound %d", n, maxEntries)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var req ObserveRequest
+		_ = json.Unmarshal(body, &req)
+		score := httptest.NewRequest("GET", "/", nil)
+		score.URL.Path = "/v1/score/" + req.Domain
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, score)
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("GET /v1/score/%s after observing %q: status %d, invalid JSON %q",
+				req.Domain, body, rec.Code, rec.Body.String())
 		}
 	})
 }

@@ -46,11 +46,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) (
 	putBuf(buf)
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		s.writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
+		writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
 			fmt.Sprintf("%s body exceeds %d bytes", what, limit))
 		return nil, http.StatusRequestEntityTooLarge
 	}
-	s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad "+what+" request: "+err.Error())
+	writeError(w, http.StatusBadRequest, codeBadRequest, "bad "+what+" request: "+err.Error())
 	return nil, http.StatusBadRequest
 }
 

@@ -19,12 +19,13 @@
 //	GET  /debug/pprof/...    profiling (when Config.EnablePprof)
 //
 // Domains outside the model are no longer a dead end: when a caller
-// has fed relations for a domain through POST /v1/observe (or a stream
-// pipeline shares its fold-in cache via Config.FoldIn), the scoring
+// has fed relations for a domain through POST /v1/observe, the scoring
 // routes derive a provisional verdict through core.Scorer.ScoreObserved
 // and return it with known=false, a calibrated confidence, and a
-// source of "foldin" or "knn" instead of a 404. Every non-2xx /v1
-// response carries the structured ErrorBody envelope.
+// source of "foldin" or "knn" instead of a 404. The daemon owns that
+// evidence: its fold-in cache is private, bounded by FoldInMaxEntries
+// and FoldInTTL. Every non-2xx /v1 response carries the structured
+// ErrorBody envelope.
 //
 // The lifecycle is production-shaped. Reload (also triggered by SIGHUP
 // in cmd/maldetect) loads the replacement model fully before swapping
@@ -36,14 +37,18 @@
 // POST body reads (batch and observe) sit behind a read deadline. Shutdown
 // drains in-flight requests up to a deadline before returning.
 //
-// The request path is engineered for zero steady-state allocations:
-// routing is a hand-rolled prefix switch (no ServeMux wildcard
-// machinery), responses are hand-encoded into pooled buffers
-// (encode.go; byte-identical to encoding/json by test), and metric
-// series are resolved once per route instead of per request. A retained
-// domain's response is not even encoded per request: loadModel renders
-// every retained domain's line once, before the generation is
-// installed, and all three scoring routes copy it out (modelState).
+// The request path is engineered for zero steady-state allocations.
+// Every route is one entry of a table bound in New (route): ServeHTTP
+// matches the /v1/score/{domain} prefix, then probes the table's map of
+// fixed paths (no ServeMux wildcard machinery), and does the method
+// check, the concurrency gate and the metric attribution once for every
+// route. Score results are hand-encoded into pooled buffers (encode.go;
+// byte-identical to encoding/json by test), error envelopes go through
+// encoding/json, and metric series are resolved once per route instead
+// of per request. A retained domain's response is not even encoded per
+// request: loadModel renders every retained domain's line once, before
+// the generation is installed, and all three scoring routes copy it out
+// (modelState).
 // Batch bodies are read whole and, in the canonical shape clients send,
 // scanned without encoding/json (request.go). A single-domain score
 // costs 0 allocations end to end (TestHandlerZeroAlloc) and a batch a
@@ -91,21 +96,11 @@ type Config struct {
 	// 10000); larger batches are rejected with 413. It also sets the
 	// POST body cap (bodyCap).
 	MaxBatch int
-	// FoldIn is the fold-in evidence cache consulted for domains
-	// outside the model. Nil creates a private cache sized by
-	// FoldInMaxEntries/FoldInTTL; pass a stream pipeline's cache to
-	// serve its rolling window's evidence through the same endpoints.
-	FoldIn *core.FoldInCache
-	// FoldInMaxEntries bounds the private fold-in cache when FoldIn is
-	// nil (default 65536 domains).
+	// FoldInMaxEntries bounds the fold-in evidence cache behind POST
+	// /v1/observe (default 65536 domains).
 	FoldInMaxEntries int
-	// FoldInTTL is the private fold-in cache's evidence lifetime when
-	// FoldIn is nil (default 15m).
+	// FoldInTTL is the fold-in cache's evidence lifetime (default 15m).
 	FoldInTTL time.Duration
-	// Metrics receives request instrumentation and backs /metrics. A
-	// private registry is created when nil; pass the registry used for
-	// model builds to expose both vocabularies on one endpoint.
-	Metrics *obsv.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Logf, when set, receives operational log lines (reloads,
@@ -146,10 +141,9 @@ type modelState struct {
 	// load: a score is a constant of the model, and formatting it again
 	// on every request was a quarter of a batch request. Row i — the
 	// bytes rows[rowOff[i]:rowOff[i+1]], i being scorer.Index(domain) —
-	// is appendScoreResponse's output for that domain, newline included,
-	// which for a retained domain is also its NDJSON line and, without
-	// the newline, its BatchResponse entry
-	// (TestRenderedRowsMatchEncoders).
+	// is appendResult's output for that domain plus a newline: the
+	// GET /v1/score/{domain} body and the NDJSON line, and without the
+	// newline the BatchResponse entry (TestRenderedRowsMatchEncoders).
 	rows   []byte
 	rowOff []uint32
 }
@@ -170,7 +164,7 @@ func renderRows(sc *core.Scorer) (rows []byte, rowOff []uint32, err error) {
 	rowOff = make([]uint32, 1, len(domains)+1)
 	for _, d := range domains {
 		res, _ := sc.Result(d)
-		rows = appendScoreResponse(rows, d, res.Score, res.Label, res.Known, res.Confidence, res.Source)
+		rows = append(appendResult(rows, d, res), '\n')
 		if len(rows) > math.MaxUint32 {
 			return nil, nil, fmt.Errorf("rendered responses of %d domains exceed 4 GiB", len(domains))
 		}
@@ -187,9 +181,13 @@ type Server struct {
 	model atomic.Pointer[modelState]
 	gate  chan struct{}
 
-	httpSrv  *http.Server
-	metricsH http.Handler
-	reloadMu sync.Mutex // serializes Reload; requests never block on it
+	httpSrv *http.Server
+	// routes holds the fixed-path routes; score is GET
+	// /v1/score/{domain}, matched by prefix, and pprof is the
+	// /debug/pprof/ subtree, nil unless Config.EnablePprof.
+	routes       map[string]*route
+	score, pprof *route
+	reloadMu     sync.Mutex // serializes Reload; requests never block on it
 	// reloading is observed by the readiness probe: while a (re)load is
 	// decoding the next generation, /healthz and /healthz/ready answer
 	// 503 so orchestrators hold traffic, while /healthz/live stays 200.
@@ -224,8 +222,6 @@ type Server struct {
 	// resolved once so the hot path never builds a label key.
 	scoredFoldin *obsv.Counter
 	scoredKNN    *obsv.Counter
-
-	mScore, mBatch, mObserve, mReload, mHealth, mLive *routeMetrics
 }
 
 // New loads the model at cfg.ModelPath and returns a ready Server. A
@@ -233,10 +229,7 @@ type Server struct {
 // never had a model has nothing to keep serving.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obsv.NewRegistry()
-	}
+	reg := obsv.NewRegistry()
 	s := &Server{
 		cfg:  cfg,
 		reg:  reg,
@@ -276,28 +269,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.scoredFoldin = s.foldinScores.With(core.SourceFoldin)
 	s.scoredKNN = s.foldinScores.With(core.SourceKNN)
-	s.foldin = cfg.FoldIn
-	if s.foldin == nil {
-		s.foldin = core.NewFoldInCache(core.FoldInConfig{
-			MaxEntries: cfg.FoldInMaxEntries,
-			TTL:        cfg.FoldInTTL,
-		})
-	}
+	s.foldin = core.NewFoldInCache(core.FoldInConfig{
+		MaxEntries: cfg.FoldInMaxEntries,
+		TTL:        cfg.FoldInTTL,
+	})
 	reg.CounterFunc("maldomain_foldin_recomputes_total",
 		"Fold-in scores that missed the memoized verdict and recomputed it; against maldomain_foldin_scores_total, the cache's miss ratio.",
 		s.foldin.Recomputes)
-	s.mScore = s.newRouteMetrics("/v1/score")
-	s.mBatch = s.newRouteMetrics("/v1/score/batch")
-	s.mObserve = s.newRouteMetrics("/v1/observe")
-	s.mReload = s.newRouteMetrics("/v1/reload")
-	s.mHealth = s.newRouteMetrics("/healthz")
-	s.mLive = s.newRouteMetrics("/healthz/live")
+	s.bindRoutes()
 	st, err := s.loadModel()
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading initial model: %w", err)
 	}
 	s.install(st)
-	s.metricsH = s.reg.Handler()
 	s.httpSrv = &http.Server{
 		Handler:           s,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -361,11 +345,6 @@ func (s *Server) Scorer() *core.Scorer {
 	return s.model.Load().scorer
 }
 
-// FoldIn returns the fold-in evidence cache the scoring routes consult
-// for domains outside the model — Config.FoldIn when one was shared,
-// the private cache otherwise.
-func (s *Server) FoldIn() *core.FoldInCache { return s.foldin }
-
 // Handler returns the daemon's full route table, for tests and
 // embedding.
 func (s *Server) Handler() http.Handler { return s }
@@ -402,46 +381,88 @@ func (s *Server) logf(format string, args ...any) {
 
 // ---- routing and instrumentation ----
 
-// ServeHTTP is the daemon's router: a hand-rolled prefix switch
-// instead of http.ServeMux, because the mux's wildcard matching
-// allocates per request and the route table here is five fixed paths.
-// Routing, the concurrency gate, and metric attribution are all plain
-// function calls on this path.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	if rest, ok := strings.CutPrefix(path, "/v1/score/"); ok && rest != "" {
-		if rest == "batch" {
-			s.serveBatch(w, r)
-		} else {
-			s.serveScore(w, r, rest)
-		}
-		return
+// route is one entry of the daemon's route table: the one method it
+// answers, whether it sits behind the concurrency gate, its request
+// instrumentation (nil for /metrics and pprof, which are not counted),
+// and the handler, which returns the status it wrote.
+type route struct {
+	method  string
+	gated   bool
+	metrics *routeMetrics
+	handle  func(w http.ResponseWriter, r *http.Request) int
+}
+
+// bindRoutes builds the route table once, at construction.
+func (s *Server) bindRoutes() {
+	metricsH := s.reg.Handler()
+	healthz := &route{http.MethodGet, false, s.newRouteMetrics("/healthz"), s.handleHealthz}
+	s.score = &route{http.MethodGet, true, s.newRouteMetrics("/v1/score"), s.handleScore}
+	s.routes = map[string]*route{
+		"/v1/score/batch": {http.MethodPost, true, s.newRouteMetrics("/v1/score/batch"), s.handleBatch},
+		"/v1/observe":     {http.MethodPost, true, s.newRouteMetrics("/v1/observe"), s.handleObserve},
+		"/v1/reload":      {http.MethodPost, false, s.newRouteMetrics("/v1/reload"), s.handleReload},
+		"/healthz":        healthz,
+		"/healthz/ready":  healthz,
+		"/healthz/live":   {http.MethodGet, false, s.newRouteMetrics("/healthz/live"), handleLive},
+		"/metrics": {http.MethodGet, false, nil, func(w http.ResponseWriter, r *http.Request) int {
+			metricsH.ServeHTTP(w, r)
+			return http.StatusOK
+		}},
 	}
-	switch path {
-	case "/v1/observe":
-		s.serveObserve(w, r)
-	case "/v1/reload":
-		s.serveReload(w, r)
-	case "/healthz", "/healthz/ready":
-		s.serveHealthz(w, r)
-	case "/healthz/live":
-		s.serveLive(w, r)
-	case "/metrics":
-		if r.Method != http.MethodGet {
-			s.methodNotAllowed(w, "GET")
-			return
-		}
-		s.metricsH.ServeHTTP(w, r)
-	default:
-		if s.cfg.EnablePprof && strings.HasPrefix(path, "/debug/pprof/") {
-			s.servePprof(w, r)
-			return
-		}
-		if strings.HasPrefix(path, "/v1/") {
-			s.writeError(w, http.StatusNotFound, codeNotFound, "no such route: "+path)
+	if s.cfg.EnablePprof {
+		s.pprof = &route{http.MethodGet, false, nil, handlePprof}
+	}
+}
+
+// lookup returns the route serving path, or nil. The single-score
+// prefix is matched before the map probe, so the hottest route never
+// pays for hashing its path.
+func (s *Server) lookup(path string) *route {
+	if rest, ok := strings.CutPrefix(path, scorePrefix); ok && rest != "" && rest != "batch" {
+		return s.score
+	}
+	if rt := s.routes[path]; rt != nil {
+		return rt
+	}
+	if s.pprof != nil && strings.HasPrefix(path, "/debug/pprof/") {
+		return s.pprof
+	}
+	return nil
+}
+
+// scorePrefix precedes the domain in GET /v1/score/{domain}.
+const scorePrefix = "/v1/score/"
+
+// ServeHTTP is the daemon's router: a table lookup instead of
+// http.ServeMux, because the mux's wildcard matching allocates per
+// request. Routing, the method check, the concurrency gate, and metric
+// attribution are all plain function calls on this path, done here
+// once for every route.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rt := s.lookup(r.URL.Path)
+	if rt == nil {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
+			noRoute(w, r.URL.Path)
 			return
 		}
 		http.NotFound(w, r)
+		return
+	}
+	start := time.Now()
+	var code int
+	switch {
+	case r.Method != rt.method:
+		code = methodNotAllowed(w, rt.method)
+	case !rt.gated:
+		code = rt.handle(w, r)
+	case !s.admit(w):
+		code = http.StatusServiceUnavailable
+	default:
+		code = rt.handle(w, r)
+		s.release()
+	}
+	if rt.metrics != nil {
+		rt.metrics.observe(start, code)
 	}
 }
 
@@ -514,8 +535,9 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	default:
 		s.shed.Inc()
 		w.Header().Set("Retry-After", "1")
-		s.writeErrorRetry(w, http.StatusServiceUnavailable, codeCapacity,
-			"server at capacity", 1000)
+		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrorDetail{
+			Code: codeCapacity, Message: "server at capacity", RetryAfterMS: 1000,
+		}})
 		return false
 	}
 }
@@ -525,9 +547,9 @@ func (s *Server) release() {
 	<-s.gate
 }
 
-func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) int {
+func methodNotAllowed(w http.ResponseWriter, allow string) int {
 	w.Header().Set("Allow", allow)
-	s.writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
+	writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
 		"method not allowed, use "+allow)
 	return http.StatusMethodNotAllowed
 }
@@ -578,24 +600,19 @@ const (
 	codeNotReady         = "not_ready"
 )
 
-// writeError sends the ErrorBody envelope with the given status.
-func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
-	s.writeErrorRetry(w, status, code, msg, 0)
+// writeError sends the ErrorBody envelope with the given status. Kept
+// out of line so the envelope's escape to encoding/json stays out of
+// the hot handlers that call it on their error paths.
+//
+//go:noinline
+func writeError(w http.ResponseWriter, status int, code, msg string) {
+	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
-// writeErrorRetry is writeError with a retry_after_ms hint (503 shed).
-func (s *Server) writeErrorRetry(w http.ResponseWriter, status int, code, msg string, retryAfterMS int64) {
-	buf := getBuf()
-	b := appendErrorEnvelope((*buf)[:0], code, msg, retryAfterMS)
-	writeBody(w, status, ctJSON, b)
-	*buf = b
-	putBuf(buf)
-}
-
-// writeJSON is the encoding/json fallback for the cold control-plane
-// responses (reload, healthz) whose shapes carry time.Time values.
+// writeJSON encodes the responses that are not score results: error
+// envelopes and the control-plane bodies (observe, reload, healthz).
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = ctJSON
 	w.WriteHeader(code)
 	// Handlers marshal small fixed-shape values; an encode failure here
 	// means the response is already half-written, so there is nothing
@@ -605,40 +622,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // ---- scoring handlers ----
 
-// ScoreResponse is the body of GET /v1/score/{domain}. Known reports
-// whether the domain is in the model's decision table; Confidence and
-// Source qualify the verdict (source "model" at confidence 1 for
-// retained domains, "foldin" or "knn" with a calibrated confidence for
-// domains scored from observed relations).
+// ScoreResponse is one domain's verdict: the body of GET
+// /v1/score/{domain}, an entry of BatchResponse.Results, and an NDJSON
+// result line. Known reports whether the domain is in the model's
+// decision table; Confidence and Source qualify the verdict (source
+// "model" at confidence 1 for retained domains, "foldin" or "knn" with
+// a calibrated confidence for domains scored from observed relations).
+// Source is empty — and omitted on the wire — only in a batch entry for
+// a domain the daemon had nothing at all to say about; the single-score
+// route answers that case with a 404.
 type ScoreResponse struct {
 	Domain     string  `json:"domain"`
 	Score      float64 `json:"score"`
 	Label      int     `json:"label"`
 	Known      bool    `json:"known"`
 	Confidence float64 `json:"confidence"`
-	Source     string  `json:"source"`
-}
-
-// serveScore handles GET /v1/score/{domain}: method check, gate,
-// handler, instrumentation.
-func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, domain string) {
-	start := time.Now()
-	var code int
-	switch {
-	case r.Method != http.MethodGet:
-		code = s.methodNotAllowed(w, "GET")
-	case strings.IndexByte(domain, '/') >= 0:
-		// {domain} is a single path segment; deeper paths are not
-		// routes.
-		s.writeError(w, http.StatusNotFound, codeNotFound, "no such route: "+r.URL.Path)
-		code = http.StatusNotFound
-	case !s.admit(w):
-		code = http.StatusServiceUnavailable
-	default:
-		code = s.handleScore(w, domain)
-		s.release()
-	}
-	s.mScore.observe(start, code)
+	Source     string  `json:"source,omitempty"`
 }
 
 // handleScore is the single-domain hot path: one index lookup and the
@@ -647,7 +646,13 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, domain strin
 // steady-state allocations.
 //
 //alloccheck:hot
-func (s *Server) handleScore(w http.ResponseWriter, domain string) int {
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) int {
+	domain := r.URL.Path[len(scorePrefix):]
+	if strings.IndexByte(domain, '/') >= 0 {
+		// {domain} is a single path segment; deeper paths are not
+		// routes.
+		return noRoute(w, r.URL.Path)
+	}
 	st := s.model.Load()
 	if i, ok := st.scorer.Index(domain); ok {
 		s.scored.Inc()
@@ -657,12 +662,12 @@ func (s *Server) handleScore(w http.ResponseWriter, domain string) int {
 	res, ok := s.foldin.Score(st.scorer, domain, time.Now())
 	if !ok {
 		s.unknown.Inc()
-		s.writeError(w, http.StatusNotFound, codeUnknownDomain, unknownDomainMessage(domain))
+		writeError(w, http.StatusNotFound, codeUnknownDomain, unknownDomainMessage(domain))
 		return http.StatusNotFound
 	}
 	s.countFoldin(res.Source)
 	buf := getBuf()
-	b := appendScoreResponse((*buf)[:0], domain, res.Score, res.Label, res.Known, res.Confidence, res.Source)
+	b := append(appendResult((*buf)[:0], domain, res), '\n')
 	writeBody(w, http.StatusOK, ctJSON, b)
 	*buf = b
 	putBuf(buf)
@@ -687,45 +692,25 @@ func unknownDomainMessage(domain string) string {
 	return strconv.Quote(domain) + ": " + core.ErrUnknownDomain.Error()
 }
 
+// noRoute answers a /v1 path no route serves with the not_found
+// envelope; out of line for the same reason as unknownDomainMessage.
+//
+//go:noinline
+func noRoute(w http.ResponseWriter, path string) int {
+	writeError(w, http.StatusNotFound, codeNotFound, "no such route: "+path)
+	return http.StatusNotFound
+}
+
 // BatchRequest is the body of POST /v1/score/batch.
 type BatchRequest struct {
 	Domains []string `json:"domains"`
 }
 
-// BatchResult is one entry of BatchResponse.Results, aligned with the
-// request's domain order. Known=false marks domains outside the model;
-// such a domain still carries a score when fold-in evidence exists, in
-// which case Source names the path that produced it ("foldin" or
-// "knn"). Source is empty — and omitted on the wire — only when the
-// daemon had nothing at all to say about the domain.
-type BatchResult struct {
-	Domain     string  `json:"domain"`
-	Score      float64 `json:"score"`
-	Label      int     `json:"label"`
-	Known      bool    `json:"known"`
-	Confidence float64 `json:"confidence"`
-	Source     string  `json:"source,omitempty"`
-}
-
-// BatchResponse is the body of POST /v1/score/batch.
+// BatchResponse is the body of POST /v1/score/batch: one result per
+// requested domain, in request order.
 type BatchResponse struct {
-	Results     []BatchResult `json:"results"`
-	Fingerprint string        `json:"fingerprint"`
-}
-
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var code int
-	switch {
-	case r.Method != http.MethodPost:
-		code = s.methodNotAllowed(w, "POST")
-	case !s.admit(w):
-		code = http.StatusServiceUnavailable
-	default:
-		code = s.handleBatch(w, r)
-		s.release()
-	}
-	s.mBatch.observe(start, code)
+	Results     []ScoreResponse `json:"results"`
+	Fingerprint string          `json:"fingerprint"`
 }
 
 // handleBatch reads, decodes, validates, scores, and encodes one batch.
@@ -742,11 +727,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	domains, err := decodeBatch(scratch, *body, s.cfg.MaxBatch)
 	putBuf(body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad batch request: "+err.Error())
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad batch request: "+err.Error())
 		return http.StatusBadRequest
 	}
 	if len(domains) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
+		writeError(w, http.StatusRequestEntityTooLarge, codeOverLimit,
 			fmt.Sprintf("batch exceeds limit of %d domains", s.cfg.MaxBatch))
 		return http.StatusRequestEntityTooLarge
 	}
@@ -762,7 +747,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 // domain.
 type batchCounts struct{ known, unknown uint64 }
 
-// appendResultLine appends domain's newline-terminated BatchResult: the
+// appendResultLine appends domain's newline-terminated result: the
 // pre-rendered row for a retained domain; for any other, the fold-in
 // verdict when there is evidence, else the zero entry, encoded on the
 // spot.
@@ -778,8 +763,7 @@ func (s *Server) appendResultLine(b []byte, st *modelState, domain string, now t
 	} else {
 		n.unknown++
 	}
-	b = appendBatchResult(b, domain, res.Score, res.Label, res.Known, res.Confidence, res.Source)
-	return append(b, '\n')
+	return append(appendResult(b, domain, res), '\n')
 }
 
 // writeBatchJSON encodes the buffered BatchResponse document into one
@@ -858,12 +842,19 @@ func (s *Server) writeBatchNDJSON(w http.ResponseWriter, st *modelState, domains
 
 // ObserveRelation is one observed edge in an ObserveRequest: the
 // domain co-occurred with a retained neighbor in the named behavioral
-// view. Weight is the co-occurrence strength; values ≤ 0 count as 1.
+// view. Weight is the co-occurrence strength; values ≤ 0 count as 1,
+// and values above maxObserveWeight are rejected.
 type ObserveRelation struct {
 	View     string  `json:"view"` // "query", "ip", or "time"
 	Neighbor string  `json:"neighbor"`
 	Weight   float64 `json:"weight"`
 }
+
+// maxObserveWeight bounds one observed relation's weight. The fold-in
+// embedding is a per-view weighted mean, so scaling a domain's weights
+// changes nothing; unbounded weights, though, overflow the weighted sums
+// to ±Inf and turn the verdict into NaN, which JSON cannot carry.
+const maxObserveWeight = 1e6
 
 // ObserveRequest is the body of POST /v1/observe.
 type ObserveRequest struct {
@@ -880,21 +871,6 @@ type ObserveResponse struct {
 	Entries   int    `json:"entries"`
 }
 
-func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var code int
-	switch {
-	case r.Method != http.MethodPost:
-		code = s.methodNotAllowed(w, "POST")
-	case !s.admit(w):
-		code = http.StatusServiceUnavailable
-	default:
-		code = s.handleObserve(w, r)
-		s.release()
-	}
-	s.mObserve.observe(start, code)
-}
-
 // handleObserve feeds one domain's observed relations into the fold-in
 // cache. This is a cold control-plane-shaped path (it allocates); the
 // hot path is the cached Score probe the scoring routes make.
@@ -907,28 +883,33 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	err := json.Unmarshal(*body, &req)
 	putBuf(body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad observe request: "+err.Error())
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad observe request: "+err.Error())
 		return http.StatusBadRequest
 	}
 	if req.Domain == "" {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, "observe needs a domain")
+		writeError(w, http.StatusBadRequest, codeBadRequest, "observe needs a domain")
 		return http.StatusBadRequest
 	}
 	if len(req.Relations) == 0 {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, "observe needs at least one relation")
+		writeError(w, http.StatusBadRequest, codeBadRequest, "observe needs at least one relation")
 		return http.StatusBadRequest
 	}
 	rels := make([]core.Relation, len(req.Relations))
 	for i, rel := range req.Relations {
 		v, ok := viewByName(rel.View)
 		if !ok {
-			s.writeError(w, http.StatusBadRequest, codeBadRequest,
+			writeError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("relation %d: unknown view %q (use query, ip, or time)", i, rel.View))
 			return http.StatusBadRequest
 		}
 		if rel.Neighbor == "" {
-			s.writeError(w, http.StatusBadRequest, codeBadRequest,
+			writeError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("relation %d: missing neighbor", i))
+			return http.StatusBadRequest
+		}
+		if rel.Weight > maxObserveWeight {
+			writeError(w, http.StatusBadRequest, codeBadRequest,
+				fmt.Sprintf("relation %d: weight %g exceeds %g", i, rel.Weight, float64(maxObserveWeight)))
 			return http.StatusBadRequest
 		}
 		rels[i] = core.Relation{View: v, Neighbor: rel.Neighbor, Weight: rel.Weight}
@@ -971,18 +952,7 @@ type ReloadResponse struct {
 	LoadedAt    time.Time `json:"loaded_at"`
 }
 
-func (s *Server) serveReload(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var code int
-	if r.Method != http.MethodPost {
-		code = s.methodNotAllowed(w, "POST")
-	} else {
-		code = s.handleReload(w)
-	}
-	s.mReload.observe(start, code)
-}
-
-func (s *Server) handleReload(w http.ResponseWriter) int {
+func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) int {
 	if err := s.Reload(); err != nil {
 		// The old model is still serving; report both facts.
 		writeJSON(w, http.StatusInternalServerError, map[string]string{
@@ -1018,64 +988,43 @@ type LivenessResponse struct {
 	Status string `json:"status"`
 }
 
-// serveLive is the liveness probe: it answers 200 whenever the process
-// can serve HTTP at all, deliberately ignoring model state. Restarting
-// a daemon because its model reload is slow would destroy the very
-// generation still serving traffic — readiness, not liveness, gates
-// that.
-func (s *Server) serveLive(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var code int
-	if r.Method != http.MethodGet {
-		code = s.methodNotAllowed(w, "GET")
-	} else {
-		writeJSON(w, http.StatusOK, LivenessResponse{Status: "alive"})
-		code = http.StatusOK
-	}
-	s.mLive.observe(start, code)
+// handleLive is the liveness probe: it answers 200 whenever the
+// process can serve HTTP at all, deliberately ignoring model state.
+// Restarting a daemon because its model reload is slow would destroy
+// the very generation still serving traffic — readiness, not liveness,
+// gates that.
+func handleLive(w http.ResponseWriter, _ *http.Request) int {
+	writeJSON(w, http.StatusOK, LivenessResponse{Status: "alive"})
+	return http.StatusOK
 }
 
-// serveHealthz is the readiness probe, served at both /healthz
+// handleHealthz is the readiness probe, served at both /healthz
 // (back-compat) and /healthz/ready: 200 with the served model's
 // identity when ready, 503 with the structured error envelope (code
 // "not_ready") while a (re)load is in flight or no model generation is
 // installed.
-func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var code int
-	if r.Method != http.MethodGet {
-		code = s.methodNotAllowed(w, "GET")
-	} else {
-		st := s.model.Load()
-		switch {
-		case s.reloading.Load():
-			s.writeError(w, http.StatusServiceUnavailable, codeNotReady,
-				"model (re)load in flight")
-			code = http.StatusServiceUnavailable
-		case st == nil:
-			s.writeError(w, http.StatusServiceUnavailable, codeNotReady,
-				"no model loaded")
-			code = http.StatusServiceUnavailable
-		default:
-			writeJSON(w, http.StatusOK, HealthResponse{
-				Status:      "ok",
-				Domains:     len(st.scorer.Domains()),
-				Fingerprint: st.scorer.Fingerprint(),
-				Embedder:    st.scorer.EmbedderName(),
-				Classifier:  st.scorer.ClassifierName(),
-				LoadedAt:    st.loadedAt,
-			})
-			code = http.StatusOK
-		}
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
+	st := s.model.Load()
+	switch {
+	case s.reloading.Load():
+		writeError(w, http.StatusServiceUnavailable, codeNotReady, "model (re)load in flight")
+		return http.StatusServiceUnavailable
+	case st == nil:
+		writeError(w, http.StatusServiceUnavailable, codeNotReady, "no model loaded")
+		return http.StatusServiceUnavailable
 	}
-	s.mHealth.observe(start, code)
+	writeJSON(w, http.StatusOK, HealthResponse{
+		Status:      "ok",
+		Domains:     len(st.scorer.Domains()),
+		Fingerprint: st.scorer.Fingerprint(),
+		Embedder:    st.scorer.EmbedderName(),
+		Classifier:  st.scorer.ClassifierName(),
+		LoadedAt:    st.loadedAt,
+	})
+	return http.StatusOK
 }
 
-func (s *Server) servePprof(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, "GET")
-		return
-	}
+func handlePprof(w http.ResponseWriter, r *http.Request) int {
 	switch r.URL.Path {
 	case "/debug/pprof/cmdline":
 		pprof.Cmdline(w, r)
@@ -1088,4 +1037,5 @@ func (s *Server) servePprof(w http.ResponseWriter, r *http.Request) {
 	default:
 		pprof.Index(w, r)
 	}
+	return http.StatusOK
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -700,5 +701,110 @@ func TestHealthSplit(t *testing.T) {
 	// Wrong method: the probes are GET-only.
 	if rec := getJSON(t, s.Handler(), "POST", "/healthz/live", nil, nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST live: status %d", rec.Code)
+	}
+}
+
+// requestSeries reads every maldomain_http_requests_total series from
+// the daemon's /metrics exposition, keyed by its label set.
+func requestSeries(t *testing.T, s *Server) map[string]int {
+	t.Helper()
+	rec := getJSON(t, s.Handler(), "GET", "/metrics", nil, nil)
+	series := map[string]int{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "maldomain_http_requests_total"); ok {
+			labels, value, _ := strings.Cut(rest, " ")
+			n, err := strconv.Atoi(value)
+			if err != nil {
+				t.Fatalf("series %s: value %q: %v", labels, value, err)
+			}
+			series[labels] = n
+		}
+	}
+	return series
+}
+
+// TestRouteTable walks the daemon's routes and the paths around them:
+// each (method, path) pair must answer its status, name the allowed
+// method on a 405, carry the JSON envelope or the plain-text 404 as
+// documented, and move exactly the one request series its route owns
+// (none for /metrics, pprof and unrouted paths).
+func TestRouteTable(t *testing.T) {
+	modelA, _, scorerA, _ := models(t)
+	retained := scorerA.Domains()[0]
+	observe, _ := observeBody(t, "route-table.example", scorerA.Domains())
+	cases := []struct {
+		pprof        bool
+		method, path string
+		body         string
+		status       int
+		allow        string // Allow header of a 405
+		code         string // ErrorBody code; "" for a success or a plain-text 404
+		series       string // request series incremented; "" for none
+	}{
+		{false, "GET", "/v1/score/" + retained, "", 200, "", "", `{path="/v1/score",code="200"}`},
+		{false, "POST", "/v1/score/" + retained, "", 405, "GET", "method_not_allowed", `{path="/v1/score",code="405"}`},
+		{false, "GET", "/v1/score/missing.example", "", 404, "", "unknown_domain", `{path="/v1/score",code="404"}`},
+		{false, "GET", "/v1/score/a/b", "", 404, "", "not_found", `{path="/v1/score",code="404"}`},
+		{false, "GET", "/v1/score/", "", 404, "", "not_found", ""},
+		{false, "POST", "/v1/score/batch", `{"domains":["` + retained + `"]}`, 200, "", "", `{path="/v1/score/batch",code="200"}`},
+		{false, "GET", "/v1/score/batch", "", 405, "POST", "method_not_allowed", `{path="/v1/score/batch",code="405"}`},
+		{false, "POST", "/v1/observe", string(observe), 200, "", "", `{path="/v1/observe",code="200"}`},
+		{false, "GET", "/v1/observe", "", 405, "POST", "method_not_allowed", `{path="/v1/observe",code="405"}`},
+		{false, "POST", "/v1/reload", "", 200, "", "", `{path="/v1/reload",code="200"}`},
+		{false, "GET", "/v1/reload", "", 405, "POST", "method_not_allowed", `{path="/v1/reload",code="405"}`},
+		{false, "GET", "/healthz", "", 200, "", "", `{path="/healthz",code="200"}`},
+		{false, "GET", "/healthz/ready", "", 200, "", "", `{path="/healthz",code="200"}`},
+		{false, "POST", "/healthz/ready", "", 405, "GET", "method_not_allowed", `{path="/healthz",code="405"}`},
+		{false, "GET", "/healthz/live", "", 200, "", "", `{path="/healthz/live",code="200"}`},
+		{false, "POST", "/healthz/live", "", 405, "GET", "method_not_allowed", `{path="/healthz/live",code="405"}`},
+		{false, "GET", "/metrics", "", 200, "", "", ""},
+		{false, "POST", "/metrics", "", 405, "GET", "method_not_allowed", ""},
+		{false, "GET", "/v1/nope", "", 404, "", "not_found", ""},
+		{false, "GET", "/nope", "", 404, "", "", ""},
+		{false, "GET", "/debug/pprof/", "", 404, "", "", ""},
+		{true, "GET", "/debug/pprof/", "", 200, "", "", ""},
+		{true, "POST", "/debug/pprof/", "", 405, "GET", "method_not_allowed", ""},
+	}
+	off, _ := newTestServer(t, modelA, nil)
+	on, _ := newTestServer(t, modelA, func(c *Config) { c.EnablePprof = true })
+	for _, tc := range cases {
+		s := off
+		if tc.pprof {
+			s = on
+		}
+		name := fmt.Sprintf("%s %s (pprof=%v)", tc.method, tc.path, tc.pprof)
+		before := requestSeries(t, s)
+		rec := getJSON(t, s.Handler(), tc.method, tc.path, strings.NewReader(tc.body), nil)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", name, rec.Code, tc.status, rec.Body.String())
+			continue
+		}
+		if got := rec.Header().Get("Allow"); got != tc.allow {
+			t.Errorf("%s: Allow %q, want %q", name, got, tc.allow)
+		}
+		switch {
+		case tc.code != "":
+			var envelope ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Code != tc.code {
+				t.Errorf("%s: body %q, want the %q envelope", name, rec.Body.String(), tc.code)
+			}
+		case tc.status == http.StatusNotFound:
+			if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+				t.Errorf("%s: Content-Type %q, want the plain-text 404", name, ct)
+			}
+		}
+		after := requestSeries(t, s)
+		for labels, v := range after {
+			want := before[labels]
+			if labels == tc.series {
+				want++
+			}
+			if v != want {
+				t.Errorf("%s: series %s went %d → %d, want %d", name, labels, before[labels], v, want)
+			}
+		}
+		if _, ok := after[tc.series]; tc.series != "" && !ok {
+			t.Errorf("%s: series %s not exported", name, tc.series)
+		}
 	}
 }

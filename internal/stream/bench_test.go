@@ -25,7 +25,7 @@ func BenchmarkRemodelCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.prevIndex, r.prevEmb = nil, nil
-		if _, _, err := r.remodel(day); err != nil {
+		if _, err := r.remodel(day); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,14 +35,14 @@ func BenchmarkRemodelWarm(b *testing.B) {
 	r, day := benchConsumed(b)
 	// Populate the warm-start state the way a deployment would: from the
 	// remodel of the preceding day's window.
-	if _, _, err := r.remodel(day - 1); err != nil {
+	if _, err := r.remodel(day - 1); err != nil {
 		b.Fatal(err)
 	}
 	warmIdx, warmEmb := r.prevIndex, r.prevEmb
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.prevIndex, r.prevEmb = warmIdx, warmEmb
-		if _, _, err := r.remodel(day); err != nil {
+		if _, err := r.remodel(day); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,11 +56,6 @@ type Config struct {
 	Detector core.Config
 	// Labeler supplies training labels at each remodel; required.
 	Labeler Labeler
-	// FoldIn, when set, receives fold-in relations for every domain
-	// observed in a window but pruned out of its model, timestamped at
-	// the day boundary (stream time). Share the cache with a
-	// serve.Server to let it score the window's unknown domains.
-	FoldIn *core.FoldInCache
 	// Metrics, when set, receives checkpoint/restore/degradation
 	// instrumentation: maldomain_checkpoints_total{result},
 	// maldomain_checkpoint_bytes, maldomain_checkpoint_last_unix_seconds,
@@ -186,9 +181,7 @@ func (r *Rolling) window(day int) []int {
 
 // remodel merges the window's per-day aggregates and builds a detector
 // over them, warm-starting the embeddings from the previous remodel.
-// The merged processor is returned alongside the detector so the
-// fold-in feeder can read the window's aggregates.
-func (r *Rolling) remodel(day int) (*core.Detector, *pipeline.Processor, error) {
+func (r *Rolling) remodel(day int) (*core.Detector, error) {
 	var procs []*pipeline.Processor
 	for _, d := range r.window(day) {
 		if p := r.days[d]; p != nil {
@@ -196,7 +189,7 @@ func (r *Rolling) remodel(day int) (*core.Detector, *pipeline.Processor, error) 
 		}
 	}
 	if len(procs) == 0 {
-		return nil, nil, fmt.Errorf("stream: no traffic in window ending day %d", day)
+		return nil, fmt.Errorf("stream: no traffic in window ending day %d", day)
 	}
 	// The window guard rejects day cursors that have drifted further
 	// apart than the window itself — per-day processors within one
@@ -204,19 +197,19 @@ func (r *Rolling) remodel(day int) (*core.Detector, *pipeline.Processor, error) 
 	// mixed aggregates from different runs.
 	merged, err := pipeline.MergeWindow(r.cfg.WindowDays, procs...)
 	if err != nil {
-		return nil, nil, fmt.Errorf("stream: merging window ending day %d: %w", day, err)
+		return nil, fmt.Errorf("stream: merging window ending day %d: %w", day, err)
 	}
 	if merged.TotalQueries() == 0 {
-		return nil, nil, fmt.Errorf("stream: no traffic in window ending day %d", day)
+		return nil, fmt.Errorf("stream: no traffic in window ending day %d", day)
 	}
 	cfg := withWindow(r.cfg.Detector, r.cfg.Start, day)
 	cfg.EmbedInit = r.embedInit
 	det := core.NewDetectorWith(cfg, merged)
 	if err := det.BuildModel(); err != nil {
-		return nil, nil, fmt.Errorf("stream: remodel at day %d: %w", day, err)
+		return nil, fmt.Errorf("stream: remodel at day %d: %w", day, err)
 	}
 	r.rememberModel(det)
-	return det, merged, nil
+	return det, nil
 }
 
 // embedInit implements core.Config.EmbedInit over the previous remodel's
@@ -316,7 +309,7 @@ func (r *Rolling) EndOfDay(day int) ([]Alert, error) {
 // modelDay runs the remodel → train → rank sequence for one day
 // boundary, returning the failing stage on error.
 func (r *Rolling) modelDay(day int) ([]Alert, string, error) {
-	det, merged, err := r.remodel(day)
+	det, err := r.remodel(day)
 	if err != nil {
 		return nil, "remodel", err
 	}
@@ -329,11 +322,6 @@ func (r *Rolling) modelDay(day int) ([]Alert, string, error) {
 	if err != nil {
 		return nil, "train", fmt.Errorf("stream: training at day %d: %w", day, err)
 	}
-	// A healthy model is the moment to publish the window's pruned
-	// domains as fold-in evidence: the relations reference exactly the
-	// retained set this model scores against.
-	r.feedFoldIn(day, retained, merged.Stats())
-
 	type scored struct {
 		domain string
 		score  float64

@@ -82,29 +82,11 @@ const (
 	SourceKNN    = core.SourceKNN
 )
 
-// Fold-in: scoring domains outside the model from observed relations
-// to retained domains (the deployment answer to "what about a domain
-// the window never retained?"). Relation is one weighted edge in one
-// behavioral view; Scorer.ScoreObserved folds the relations into a
-// provisional embedding and scores it. FoldInCache accumulates
-// per-domain evidence with bounded capacity and TTL expiry — the state
-// behind the daemon's POST /v1/observe — and Rolling feeds it at day
-// boundaries through StreamConfig.FoldIn.
-
 // Relation is one observed edge between an unknown domain and a
-// retained neighbor in one behavioral view.
+// retained neighbor in one behavioral view: the input of
+// Scorer.ScoreObserved, which folds a domain's relations into a
+// provisional embedding and scores it.
 type Relation = core.Relation
-
-// FoldInCache is a bounded, TTL'd store of fold-in evidence shared by
-// the serving daemon and the streaming detector.
-type FoldInCache = core.FoldInCache
-
-// FoldInConfig bounds a FoldInCache (entries, relations per domain,
-// evidence lifetime); the zero value uses the serving defaults.
-type FoldInConfig = core.FoldInConfig
-
-// NewFoldInCache returns an empty fold-in cache for cfg.
-func NewFoldInCache(cfg FoldInConfig) *FoldInCache { return core.NewFoldInCache(cfg) }
 
 // Observation is one joined DNS query/response record — the schema the
 // paper's collector extracts from packet captures (§2).

@@ -154,6 +154,16 @@ awk -v c="$conf" 'BEGIN { exit !(c >= 0 && c <= 1) }'
 grep -q '"code":"bad_request"' <<<"$(curl -s -X POST \
     -d '{"domain":"x.invalid","relations":[{"view":"dns","neighbor":"y"}]}' \
     "http://$addr/v1/observe")"
+# A weight past the observe bound is refused (400), not folded into a
+# NaN verdict.
+huge="$(curl -s -w '\n%{http_code}' -X POST -d '{
+    "domain":"huge.invalid",
+    "relations":[{"view":"query","neighbor":"'"$known"'","weight":1e308},
+                 {"view":"ip","neighbor":"'"$n2"'","weight":1e308},
+                 {"view":"time","neighbor":"'"$n3"'","weight":1e308}]}' \
+    "http://$addr/v1/observe")"
+[ "$(tail -n 1 <<<"$huge")" = 400 ]
+grep -q '"code":"bad_request"' <<<"$huge"
 # SIGHUP hot reload must keep the daemon serving.
 kill -HUP "$serve_pid"
 for _ in $(seq 1 100); do
